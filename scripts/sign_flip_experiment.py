@@ -25,7 +25,6 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=5)
     parser.add_argument("--trials", type=int, default=5, help="matrices per size")
     parser.add_argument("--sizes", type=int, nargs="+", default=[4, 5])
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
     rng = random.Random(args.seed)
@@ -34,7 +33,7 @@ def main() -> int:
         for trial in range(args.trials):
             matrix = random_symmetric_matrix(n, rng, nonzero_offdiag=True)
             start = time.perf_counter()
-            profile = sign_flip_profile(matrix, workers=args.workers)
+            profile = sign_flip_profile(matrix)
             elapsed = time.perf_counter() - start
             counts = ", ".join(f"{c}:{f}" for c, f in profile.counts)
             almost = (1 << n) - 1

@@ -9,7 +9,6 @@ non-member, 2 input or usage error, 3 indeterminate.
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 from pathlib import Path
@@ -153,12 +152,14 @@ def _cmd_rep_lower(args) -> int:
 
 
 def _cmd_experiment_sign_flip(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     rng = random.Random(args.seed)
     full = 1 << args.n
     exit_code = EXIT_MEMBER
     for trial in range(args.trials):
         matrix = random_symmetric_matrix(args.n, rng, nonzero_offdiag=True)
-        profile = sign_flip_profile(matrix, workers=args.workers)
+        profile = sign_flip_profile(matrix)
         doc = documents.sign_flip_document(profile, args.seed, trial, matrix)
         if args.out:
             path = args.out if args.trials == 1 else f"{args.out}.{trial}"
@@ -230,8 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--out", help="report document to write (suffixed per trial)")
-    p.add_argument("--workers", type=int, default=os.cpu_count(),
-                   help="worker processes for pattern enumeration")
     p.set_defaults(func=_cmd_experiment_sign_flip)
 
     return parser

@@ -16,16 +16,15 @@ from __future__ import annotations
 
 import cmath
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Optional, Sequence
+from typing import Optional
 
 from .hyperdet import cayley_hyperdet, hd_basis
 from .indices import MinorVector
 from .matrices import SymmetricMatrix, det_complex, det_exact
-from .minor_map import minor_vector, numeric_minor_vector
+from .minor_map import all_principal_minors, minor_vector
 from .polynomials import act_point, evaluate
 from .sampling import random_special_element
 from .scalars import Scalar, normalize, sqrt_exact
@@ -204,18 +203,11 @@ def reconstruct(z: MinorVector, mode: str = "exact", tol: float = 1e-9) -> Symme
         if not ok:
             continue
         any_triple_survivor = True
-        candidate = SymmetricMatrix.from_rows(rows)
-        mismatch = None
-        for enc in range(1 << n):
-            keep = [k for k in range(n) if (enc >> k) & 1]
-            if len(keep) <= 3:
-                continue
-            value = det_exact([[rows[a][b] for b in keep] for a in keep])
-            if value != w[enc]:
-                mismatch = MinorMismatchError(enc, w[enc], value)
-                break
+        minors = all_principal_minors(rows, det_exact)
+        mismatch = next((MinorMismatchError(enc, w[enc], value)
+                         for enc, value in enumerate(minors) if value != w[enc]), None)
         if mismatch is None:
-            return candidate
+            return SymmetricMatrix.from_rows(rows)
         if first_full_mismatch is None:
             first_full_mismatch = mismatch
     if any_triple_survivor:
@@ -261,12 +253,10 @@ def _reconstruct_numeric(z: MinorVector, tol: float) -> SymmetricMatrix:
         if not ok:
             continue
         any_triple_survivor = True
-        minors = numeric_minor_vector(rows)
-        mismatch = None
-        for enc in range(1 << n):
-            if abs(minors[enc] - w[enc]) > tol:
-                mismatch = MinorMismatchError(enc, w[enc], minors[enc])
-                break
+        minors = all_principal_minors(rows, det_complex)
+        mismatch = next((MinorMismatchError(enc, w[enc], value)
+                         for enc, value in enumerate(minors) if abs(value - w[enc]) > tol),
+                        None)
         if mismatch is None:
             return SymmetricMatrix(n, tuple(tuple(r) for r in rows))
         if first_full_mismatch is None:
@@ -326,6 +316,8 @@ def is_member(z: MinorVector, method: str = "basis", *,
     there).  With method="reconstruct" and a zero leading coordinate,
     random determinant-1 moves are applied to reach the open chart.
     """
+    if method not in ("basis", "reconstruct", "prefilter"):
+        raise ValueError(f"unknown method {method!r}")
     if z.is_zero():
         raise ValueError("zero vector")
     n = z.n
@@ -374,14 +366,11 @@ def is_member(z: MinorVector, method: str = "basis", *,
         return MembershipReport(
             n, VERDICT_MEMBER, method, MatrixCertificate(matrix, current[0]), moves
         )
-    if method == "prefilter":
-        violation = _prefilter_violation(z)
-        if violation is not None:
-            return MembershipReport(
-                n, VERDICT_NON_MEMBER, method, PrefilterViolation(violation)
-            )
-        return MembershipReport(n, VERDICT_INDETERMINATE, method)
-    raise ValueError(f"unknown method {method!r}")
+    # method == "prefilter"
+    violation = _prefilter_violation(z)
+    if violation is not None:
+        return MembershipReport(n, VERDICT_NON_MEMBER, method, PrefilterViolation(violation))
+    return MembershipReport(n, VERDICT_INDETERMINATE, method)
 
 
 # -- sign-flip experiment ----------------------------------------------
@@ -400,58 +389,29 @@ class SignFlipProfile:
         return dict(self.counts)
 
 
-def _sign_flip_counts(entries: tuple[tuple[Scalar, ...], ...],
-                      base: tuple[Scalar, ...],
-                      pairs: Sequence[tuple[int, int]],
-                      mask_range: tuple[int, int]) -> dict[int, int]:
-    n = len(entries)
-    histogram: dict[int, int] = {}
-    for mask in range(*mask_range):
-        rows = [list(r) for r in entries]
-        for bit, (i, j) in enumerate(pairs):
-            if (mask >> bit) & 1:
-                rows[i][j] = -rows[i][j]
-                rows[j][i] = -rows[j][i]
-        agree = 0
-        for enc in range(1 << n):
-            keep = [k for k in range(n) if (enc >> k) & 1]
-            value = det_exact([[rows[a][b] for b in keep] for a in keep])
-            if value == base[enc]:
-                agree += 1
-        histogram[agree] = histogram.get(agree, 0) + 1
-    return histogram
-
-
-# Below this many patterns a process pool costs more than it saves.
-_POOL_THRESHOLD = 1 << 12
-
-
-def sign_flip_profile(matrix: SymmetricMatrix, workers: Optional[int] = None
-                      ) -> SignFlipProfile:
+def sign_flip_profile(matrix: SymmetricMatrix) -> SignFlipProfile:
     """Flip the off-diagonal signs in every possible combination and
-    record how many principal minors agree with the original."""
+    record how many principal minors agree with the original.
+
+    D A D with D = diag(+-1) keeps every principal minor, and each of
+    its classes of 2^(n-1) patterns has exactly one member that leaves
+    the pairs (0, j) unflipped.  Only those members are evaluated; each
+    counts for its whole class.
+    """
     n = matrix.n
     if n > 6:
         raise ValueError("size too large: 2^(n(n-1)/2) patterns beyond n=6")
-    pairs = list(combinations(range(n), 2))
-    total = 1 << len(pairs)
     base = minor_vector(matrix, 1).coords
-    if workers and workers > 1 and total >= _POOL_THRESHOLD:
-        chunk = (total + workers - 1) // workers
-        ranges = [(k, min(k + chunk, total)) for k in range(0, total, chunk)]
-        histogram: dict[int, int] = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(
-                _sign_flip_counts,
-                [matrix.entries] * len(ranges),
-                [base] * len(ranges),
-                [pairs] * len(ranges),
-                ranges,
-            )
-            for part in parts:
-                for count, freq in part.items():
-                    histogram[count] = histogram.get(count, 0) + freq
-    else:
-        histogram = _sign_flip_counts(matrix.entries, base, pairs, (0, total))
+    free_pairs = list(combinations(range(1, n), 2))
+    class_size = 1 << (n - 1)
+    histogram: dict[int, int] = {}
+    for mask in range(1 << len(free_pairs)):
+        rows = [list(r) for r in matrix.entries]
+        for bit, (i, j) in enumerate(free_pairs):
+            if (mask >> bit) & 1:
+                rows[i][j] = rows[j][i] = -rows[i][j]
+        minors = all_principal_minors(rows, det_exact)
+        agree = sum(value == want for value, want in zip(minors, base))
+        histogram[agree] = histogram.get(agree, 0) + class_size
     counts = tuple(sorted(histogram.items()))
-    return SignFlipProfile(n, counts, total)
+    return SignFlipProfile(n, counts, 1 << (n * (n - 1) // 2))

@@ -2,16 +2,17 @@
 
 phi sends [A, t] to the vector with coordinate t^(n-|I|) * det(A_I) at
 the binary index I, where A_I keeps row/column k exactly when i_k = 1
-and the empty minor is 1.  The 2^n minors are computed as independent
-submatrix determinants.
+and the empty minor is 1.  Every all-minors computation goes through
+the one kernel `all_principal_minors`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable, Iterator, Sequence
 
 from .indices import BinaryIndex, MinorVector
-from .matrices import SingularMatrixError, SymmetricMatrix, det_complex, det_exact
+from .matrices import SingularMatrixError, SymmetricMatrix, det_exact
 from .scalars import Scalar, as_scalar, normalize
 
 
@@ -19,13 +20,20 @@ def principal_minor(matrix: SymmetricMatrix, index: BinaryIndex) -> Scalar:
     """det of the principal submatrix selected by the set bits of index."""
     if index.n != matrix.n:
         raise ValueError(f"index has n={index.n}, matrix has n={matrix.n}")
-    return _minor_by_encoding(matrix, index.encoding)
+    return det_exact(_principal_submatrix(matrix.entries, index.encoding))
 
 
-def _minor_by_encoding(matrix: SymmetricMatrix, enc: int) -> Scalar:
-    keep = [k for k in range(matrix.n) if (enc >> k) & 1]
-    sub = [[matrix.entries[i][j] for j in keep] for i in keep]
-    return det_exact(sub)
+def _principal_submatrix(rows: Sequence[Sequence], enc: int) -> list[list]:
+    keep = [k for k in range(len(rows)) if (enc >> k) & 1]
+    return [[rows[i][j] for j in keep] for i in keep]
+
+
+def all_principal_minors(rows: Sequence[Sequence], det: Callable) -> Iterator:
+    """All 2^n principal minors of rows in encoding order, each taken
+    with det (`det_exact` for exact scalars, `det_complex` for the
+    numeric mode).  Lazy: a caller that stops at the first mismatch
+    takes no further determinants."""
+    return (det(_principal_submatrix(rows, enc)) for enc in range(1 << len(rows)))
 
 
 def minor_vector(matrix: SymmetricMatrix, t=1) -> MinorVector:
@@ -34,8 +42,7 @@ def minor_vector(matrix: SymmetricMatrix, t=1) -> MinorVector:
     t = as_scalar(t)
     n = matrix.n
     coords = []
-    for enc in range(1 << n):
-        value = _minor_by_encoding(matrix, enc)
+    for enc, value in enumerate(all_principal_minors(matrix.entries, det_exact)):
         power = n - bin(enc).count("1")
         if t != 1:
             value = value * t**power
@@ -60,23 +67,10 @@ def tensor_product(z1: MinorVector, z2: MinorVector) -> MinorVector:
 def reversed_minors(matrix: SymmetricMatrix) -> MinorVector:
     """Minor vector of A^(-1), computed without inverting: coordinate at
     I is det(A_complement(I)) / det(A)."""
-    d = matrix.det()
+    minors = list(all_principal_minors(matrix.entries, det_exact))
+    full = len(minors) - 1
+    d = minors[full]
     if d == 0:
         raise SingularMatrixError("matrix is singular")
-    n = matrix.n
-    full = (1 << n) - 1
-    coords = []
-    for enc in range(1 << n):
-        value = Fraction(_minor_by_encoding(matrix, full ^ enc), d)
-        coords.append(normalize(value))
-    return MinorVector(n, tuple(coords))
-
-
-def numeric_minor_vector(entries: list[list[complex]]) -> list[complex]:
-    """Complex-float minors in encoding order (numeric reconstruction)."""
-    n = len(entries)
-    out = []
-    for enc in range(1 << n):
-        keep = [k for k in range(n) if (enc >> k) & 1]
-        out.append(det_complex([[entries[i][j] for j in keep] for i in keep]))
-    return out
+    coords = [normalize(Fraction(minors[full ^ enc], d)) for enc in range(full + 1)]
+    return MinorVector(matrix.n, tuple(coords))

@@ -167,7 +167,7 @@ def test_rep_lower_to_lowest(tmp_path, capsys):
 
 def test_experiment_sign_flip_deterministic(tmp_path, capsys):
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    args = ["experiment", "sign-flip", "--n", "4", "--seed", "7", "--workers", "1"]
+    args = ["experiment", "sign-flip", "--n", "4", "--seed", "7"]
     assert main(args + ["--out", str(out1)]) == 0
     first = capsys.readouterr().out
     assert main(args + ["--out", str(out2)]) == 0
@@ -184,11 +184,31 @@ def test_experiment_sign_flip_deterministic(tmp_path, capsys):
 def test_experiment_sign_flip_generic_counts(tmp_path):
     out = tmp_path / "r.json"
     assert main(["experiment", "sign-flip", "--n", "4", "--seed", "7",
-                 "--workers", "1", "--out", str(out)]) == 0
+                 "--out", str(out)]) == 0
     doc = loads(out.read_text())
     counts = {c for c, _ in doc["counts"]}
     assert counts == {11, 13, 16}
     assert doc["has_almost_agreement"] is False
+
+
+def test_experiment_sign_flip_n6(tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["experiment", "sign-flip", "--n", "6", "--seed", "7",
+                 "--out", str(out)]) == 0
+    doc = loads(out.read_text())
+    counts = dict(doc["counts"])
+    assert sum(counts.values()) == 1 << 15
+    assert 64 in counts
+    assert 63 not in counts
+
+
+def test_experiment_sign_flip_rejects_nonpositive_trials(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    for trials in ("0", "-1"):
+        assert main(["experiment", "sign-flip", "--n", "4", "--trials", trials,
+                     "--out", str(out)]) == 2
+        assert "--trials" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_entry_point_runs(tmp_path):

@@ -2,11 +2,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 
-import principal_minors.membership as membership
 from principal_minors import (
     MinorVector,
     SymmetricMatrix,
@@ -23,13 +23,13 @@ from principal_minors.membership import (
     MinorMismatchError,
     NonSquareEntryError,
     ZeroLeadingCoordinateError,
-    _sign_flip_counts,
 )
-from principal_minors.minor_map import numeric_minor_vector
+from principal_minors.matrices import det_complex
+from principal_minors.minor_map import all_principal_minors
 from principal_minors.polynomials import act_point
 from principal_minors.sampling import random_special_element, random_symmetric_matrix
 
-from conftest import symmetric_rows_strategy
+from conftest import laplace_det, symmetric_rows_strategy
 
 TRIDIAGONAL = SymmetricMatrix.from_rows(
     [[1, 1, 0, 0], [1, 2, 1, 0], [0, 1, 3, 1], [0, 0, 1, 4]]
@@ -86,6 +86,10 @@ def test_small_n_member_unconditionally():
 def test_unknown_method_rejected():
     with pytest.raises(ValueError):
         is_member(MinorVector.unit(3, 0), "guess")
+    # n <= 2 vectors are members whatever the method, but the method is
+    # still checked
+    with pytest.raises(ValueError, match="unknown method"):
+        is_member(MinorVector.unit(2, 0), "bogus")
 
 
 def test_chart_moves_reach_open_chart():
@@ -273,7 +277,7 @@ def test_reconstruct_numeric_complex_entries():
     with pytest.raises(NonSquareEntryError):
         reconstruct(z, "exact")
     b = reconstruct(z, "numeric", tol=1e-9)
-    minors = numeric_minor_vector([list(r) for r in b.entries])
+    minors = all_principal_minors(b.entries, det_complex)
     for got, want in zip(minors, z.coords):
         assert abs(got - complex(want)) < 1e-8
 
@@ -283,7 +287,7 @@ def test_reconstruct_numeric_round_trip():
     a = random_symmetric_matrix(4, rng)
     z = minor_vector(a, 1)
     b = reconstruct(z, "numeric", tol=1e-9)
-    minors = numeric_minor_vector([list(r) for r in b.entries])
+    minors = all_principal_minors(b.entries, det_complex)
     for got, want in zip(minors, z.coords):
         assert abs(got - complex(want)) < 1e-7
 
@@ -326,23 +330,44 @@ def test_sign_flip_size_limit():
         sign_flip_profile(SymmetricMatrix.diagonal([1] * 7))
 
 
-def test_sign_flip_chunks_merge_to_full_histogram():
+def brute_force_sign_flip(a: SymmetricMatrix) -> dict[int, int]:
+    """Histogram over all 2^C(n,2) sign patterns, minors by Laplace
+    expansion."""
+    n = a.n
+
+    def minors(rows):
+        out = []
+        for enc in range(1 << n):
+            keep = [k for k in range(n) if (enc >> k) & 1]
+            out.append(laplace_det([[rows[i][j] for j in keep] for i in keep]))
+        return out
+
+    pairs = list(combinations(range(n), 2))
+    base = minors(a.rows())
+    histogram: dict[int, int] = {}
+    for mask in range(1 << len(pairs)):
+        rows = a.rows()
+        for bit, (i, j) in enumerate(pairs):
+            if (mask >> bit) & 1:
+                rows[i][j], rows[j][i] = -rows[i][j], -rows[j][i]
+        agree = sum(got == want for got, want in zip(minors(rows), base))
+        histogram[agree] = histogram.get(agree, 0) + 1
+    return histogram
+
+
+def test_sign_flip_gauge_classes_match_full_enumeration():
     rng = random.Random(41)
-    a = random_symmetric_matrix(4, rng, nonzero_offdiag=True)
-    base = tuple(minor_vector(a, 1).coords)
-    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-    whole = _sign_flip_counts(a.entries, base, pairs, (0, 64))
-    merged: dict[int, int] = {}
-    for lo, hi in ((0, 17), (17, 40), (40, 64)):
-        for count, freq in _sign_flip_counts(a.entries, base, pairs, (lo, hi)).items():
-            merged[count] = merged.get(count, 0) + freq
-    assert merged == whole
-
-
-def test_sign_flip_worker_pool_matches_inline(monkeypatch):
-    rng = random.Random(42)
-    a = random_symmetric_matrix(4, rng, nonzero_offdiag=True)
-    inline = sign_flip_profile(a)
-    monkeypatch.setattr(membership, "_POOL_THRESHOLD", 1)
-    pooled = sign_flip_profile(a, workers=2)
-    assert pooled == inline
+    matrices = [SymmetricMatrix.diagonal([2, -1, 3, 5])]
+    for n in (1, 2, 4, 5):
+        matrices.append(random_symmetric_matrix(n, rng, nonzero_offdiag=True))
+        matrices.append(random_symmetric_matrix(n, rng))
+        # zero off-diagonals: flipping them changes nothing
+        rows = random_symmetric_matrix(n, rng, nonzero_offdiag=True).rows()
+        for i, j in combinations(range(n), 2):
+            if (i + j) % 2:
+                rows[i][j] = rows[j][i] = 0
+        matrices.append(SymmetricMatrix.from_rows(rows))
+    for a in matrices:
+        profile = sign_flip_profile(a)
+        assert profile.as_dict() == brute_force_sign_flip(a), a
+        assert profile.patterns_checked == 1 << (a.n * (a.n - 1) // 2)
