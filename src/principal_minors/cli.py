@@ -198,7 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="minors document")
     p.add_argument("--out", required=True, help="matrix document to write")
     p.add_argument("--mode", choices=("exact", "numeric"), default="exact")
-    p.add_argument("--tol", type=float, default=1e-9, help="numeric-mode tolerance")
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="numeric-mode relative tolerance: a minor m matches an expected"
+                        " value b when |m - b| <= tol * max(1, |b|); finite and > 0")
     p.set_defaults(func=_cmd_reconstruct)
 
     p = sub.add_parser("hd-basis", help="generate the degree-4 module basis")

@@ -7,14 +7,17 @@ Three methods:
   reconstruct rebuild a symmetric matrix from the |I| <= 2 coordinates,
               resolve off-diagonal signs against the |I| = 3
               coordinates, verify all 2^n minors.
-  prefilter   recursive necessary condition: split off one factor at a
-              time and check honest 2x2x2 hyperdeterminants at the
-              bottom.  Sound for rejection only.
+  prefilter   necessary condition: Cayley's 2x2x2 hyperdeterminant on
+              each of the C(n,3) * 2^(n-3) slices that fix every factor
+              outside a triple to 0 or 1, each slice checked once.
+              Sound for rejection only.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -155,25 +158,38 @@ def reconstruct(z: MinorVector, mode: str = "exact", tol: float = 1e-9) -> Symme
     a spanning forest of the nonzero-off-diagonal graph (the D A D
     freedom) and the remaining 2^cycles patterns are filtered by the
     |I| = 3 coordinates, then fully verified.
+
+    Exact mode works over the rationals.  Numeric mode works over
+    complex floats and treats a value as equal to an expected value b
+    when they differ by at most tol * max(1, |b|); tol must be finite
+    and positive.
     """
     if mode not in ("exact", "numeric"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "numeric":
-        return _reconstruct_numeric(z, tol)
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     n = z.n
-    z0 = z[0]
-    if z0 == 0:
+    if mode == "exact":
+        z0 = z[0]
+        scale, det, sqrt, close = (
+            lambda c: normalize(Fraction(c) / z0), det_exact, sqrt_exact, operator.eq)
+    else:
+        z0 = complex(z[0])
+        scale, det, sqrt, close = (
+            lambda c: complex(c) / z0, det_complex, cmath.sqrt,
+            lambda a, b: abs(a - b) <= tol * max(1, abs(b)))
+    if close(z0, 0):
         raise ZeroLeadingCoordinateError("leading coordinate z_[0..0] is zero")
-    w = [normalize(Fraction(c) / z0) for c in z.coords]
+    w = [scale(c) for c in z.coords]
     diag = [w[1 << i] for i in range(n)]
-    mag: dict[tuple[int, int], Scalar] = {}
+    mag = {}
     edges = []
     for i in range(n):
         for j in range(i + 1, n):
             s = diag[i] * diag[j] - w[(1 << i) | (1 << j)]
-            if s == 0:
+            if close(s, 0):
                 continue
-            root = sqrt_exact(s)
+            root = sqrt(s)
             if root is None:
                 raise NonSquareEntryError(i, j, s)
             mag[(i, j)] = root
@@ -194,112 +210,57 @@ def reconstruct(z: MinorVector, mode: str = "exact", tol: float = 1e-9) -> Symme
             rows[i][j] = rows[j][i] = mag[(i, j)]
         for (i, j), s in zip(cycles, signs):
             rows[i][j] = rows[j][i] = s * mag[(i, j)]
-        ok = True
-        for enc, (i, j, k) in triples:
-            sub = [[rows[a][b] for b in (i, j, k)] for a in (i, j, k)]
-            if det_exact(sub) != w[enc]:
-                ok = False
+        for enc, ijk in triples:
+            if not close(det([[rows[a][b] for b in ijk] for a in ijk]), w[enc]):
                 break
-        if not ok:
-            continue
-        any_triple_survivor = True
-        minors = all_principal_minors(rows, det_exact)
-        mismatch = next((MinorMismatchError(enc, w[enc], value)
-                         for enc, value in enumerate(minors) if value != w[enc]), None)
-        if mismatch is None:
-            return SymmetricMatrix.from_rows(rows)
-        if first_full_mismatch is None:
-            first_full_mismatch = mismatch
+        else:
+            any_triple_survivor = True
+            mismatch = next((MinorMismatchError(enc, w[enc], value)
+                             for enc, value in enumerate(all_principal_minors(rows, det))
+                             if not close(value, w[enc])), None)
+            if mismatch is None:
+                if mode == "exact":
+                    return SymmetricMatrix.from_rows(rows)
+                return SymmetricMatrix(n, tuple(tuple(map(complex, r)) for r in rows))
+            if first_full_mismatch is None:
+                first_full_mismatch = mismatch
     if any_triple_survivor:
         raise first_full_mismatch
     raise NoConsistentSignsError()
 
 
-def _reconstruct_numeric(z: MinorVector, tol: float) -> SymmetricMatrix:
-    n = z.n
-    z0 = complex(z[0]) if not isinstance(z[0], complex) else z[0]
-    if abs(z0) <= tol:
-        raise ZeroLeadingCoordinateError("leading coordinate z_[0..0] is zero")
-    w = [complex(c) / z0 for c in z.coords]
-    diag = [w[1 << i] for i in range(n)]
-    mag: dict[tuple[int, int], complex] = {}
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            s = diag[i] * diag[j] - w[(1 << i) | (1 << j)]
-            if abs(s) <= tol:
-                continue
-            mag[(i, j)] = cmath.sqrt(s)
-            edges.append((i, j))
-    forest, cycles = _spanning_forest(n, edges)
-    first_full_mismatch: Optional[MinorMismatchError] = None
-    any_triple_survivor = False
-    triple_sets = list(combinations(range(n), 3))
-    for signs in product((1, -1), repeat=len(cycles)):
-        rows = [[0j] * n for _ in range(n)]
-        for i in range(n):
-            rows[i][i] = diag[i]
-        for i, j in forest:
-            rows[i][j] = rows[j][i] = mag[(i, j)]
-        for (i, j), s in zip(cycles, signs):
-            rows[i][j] = rows[j][i] = s * mag[(i, j)]
-        ok = True
-        for i, j, k in triple_sets:
-            enc = (1 << i) | (1 << j) | (1 << k)
-            sub = [[rows[a][b] for b in (i, j, k)] for a in (i, j, k)]
-            if abs(det_complex(sub) - w[enc]) > tol:
-                ok = False
-                break
-        if not ok:
-            continue
-        any_triple_survivor = True
-        minors = all_principal_minors(rows, det_complex)
-        mismatch = next((MinorMismatchError(enc, w[enc], value)
-                         for enc, value in enumerate(minors) if abs(value - w[enc]) > tol),
-                        None)
-        if mismatch is None:
-            return SymmetricMatrix(n, tuple(tuple(r) for r in rows))
-        if first_full_mismatch is None:
-            first_full_mismatch = mismatch
-    if any_triple_survivor:
-        raise first_full_mismatch
-    raise NoConsistentSignsError()
-
-
-# -- recursive prefilter -----------------------------------------------
-
-def _split_half(z: MinorVector, factor: int, bit_value: int) -> MinorVector:
-    n = z.n
-    bit = 1 << (factor - 1)
-    low_mask = bit - 1
-    coords = []
-    for enc in range(1 << (n - 1)):
-        full = ((enc & ~low_mask) << 1) | (bit if bit_value else 0) | (enc & low_mask)
-        coords.append(z.coords[full])
-    return MinorVector(n - 1, tuple(coords))
-
+# -- slice prefilter ---------------------------------------------------
 
 def _prefilter_violation(z: MinorVector) -> Optional[Scalar]:
+    """First nonzero 2x2x2 hyperdeterminant over the C(n,3) * 2^(n-3)
+    slices that fix every factor outside a triple to 0 or 1, visited in
+    sorted order of their fixed (factor, bit) pairs; the order decides
+    which violation becomes the certificate."""
     n = z.n
     if n < 3:
         return None
-    if n == 3:
-        value = evaluate(cayley_hyperdet(3, (1, 2, 3)), z)
-        return value if value != 0 else None
-    for factor in range(1, n + 1):
-        for bit_value in (0, 1):
-            half = _split_half(z, factor, bit_value)
-            if half.is_zero():
-                continue
-            violation = _prefilter_violation(half)
-            if violation is not None:
-                return violation
+    hyperdet = cayley_hyperdet(3, (1, 2, 3))
+    slices = sorted(
+        tuple(zip(fixed, bits))
+        for fixed in combinations(range(n), n - 3)
+        for bits in product((0, 1), repeat=n - 3)
+    )
+    for pairs in slices:
+        base = sum(bit << factor for factor, bit in pairs)
+        fixed = {factor for factor, _ in pairs}
+        i, j, k = (factor for factor in range(n) if factor not in fixed)
+        coords = [z.coords[base | bk << k | bj << j | bi << i]
+                  for bk, bj, bi in product((0, 1), repeat=3)]
+        value = evaluate(hyperdet, coords)
+        if value != 0:
+            return value
     return None
 
 
 def recursive_prefilter(z: MinorVector) -> bool:
-    """Necessary condition only: True means no recursive 2x2x2
-    hyperdeterminant obstruction was found, not membership."""
+    """Necessary condition only: True means no 2x2x2 slice of z has a
+    nonzero hyperdeterminant, not membership.  Each of the
+    C(n,3) * 2^(n-3) slices is checked once."""
     if z.is_zero():
         raise ValueError("zero vector")
     return _prefilter_violation(z) is None

@@ -122,6 +122,46 @@ def test_reconstruct_exit_codes(tmp_path):
     assert main(["reconstruct", "--in", str(zfile), "--out", str(out)]) == 2
 
 
+def test_reconstruct_rejects_invalid_tol(tmp_path, capsys):
+    from principal_minors import MinorVector
+
+    zfile, out = tmp_path / "z.json", tmp_path / "a.json"
+    # non-member: a NaN tolerance must not let every comparison pass
+    write_minors(zfile, MinorVector.from_values(3, [1, 1, 1, 0, 1, 0, 0, 1]))
+    assert main(["reconstruct", "--in", str(zfile), "--out", str(out),
+                 "--mode", "numeric", "--tol", "nan"]) == 2
+    assert "tol" in capsys.readouterr().err
+    assert not out.exists()
+    # member: a negative tolerance must not make it a non-member
+    write_minors(zfile, minor_vector(SymmetricMatrix.from_rows([[1, 1, 0], [1, 2, 1],
+                                                                [0, 1, 3]]), 1))
+    assert main(["reconstruct", "--in", str(zfile), "--out", str(out),
+                 "--mode", "numeric", "--tol", "-1"]) == 2
+    assert "tol" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["reconstruct", "--in", str(zfile), "--out", str(out),
+                 "--mode", "numeric"]) == 0
+
+
+def test_check_prefilter_dense_n9(tmp_path):
+    import random
+
+    from principal_minors.sampling import random_symmetric_matrix
+
+    z = minor_vector(random_symmetric_matrix(9, random.Random(9)), 1)
+    zfile, report = tmp_path / "z.json", tmp_path / "r.json"
+    write_minors(zfile, z)
+    assert main(["check", "--in", str(zfile), "--method", "prefilter"]) == 3
+    coords = list(z.coords)
+    coords[-1] += 1
+    write_minors(zfile, z.__class__.from_values(9, coords))
+    assert main(["check", "--in", str(zfile), "--method", "prefilter",
+                 "--out", str(report)]) == 1
+    certificate = loads(report.read_text())["certificate"]
+    assert certificate["type"] == "prefilter-violation"
+    assert certificate["value"] != "0/1"
+
+
 def test_hd_basis_subcommand(tmp_path, capsys):
     out = tmp_path / "basis.json"
     assert main(["hd-basis", "--n", "4", "--out", str(out)]) == 0

@@ -16,6 +16,7 @@ from principal_minors import (
     recursive_prefilter,
     sign_flip_profile,
 )
+from principal_minors.hyperdet import cayley_hyperdet
 from principal_minors.membership import (
     BasisViolation,
     MatrixCertificate,
@@ -26,7 +27,7 @@ from principal_minors.membership import (
 )
 from principal_minors.matrices import det_complex
 from principal_minors.minor_map import all_principal_minors
-from principal_minors.polynomials import act_point
+from principal_minors.polynomials import act_point, evaluate
 from principal_minors.sampling import random_special_element, random_symmetric_matrix
 
 from conftest import laplace_det, symmetric_rows_strategy
@@ -169,6 +170,68 @@ def test_prefilter_rejects_bad_half():
     assert report.certificate.value == 5
 
 
+def reference_prefilter_violation(z: MinorVector):
+    """The earlier recursive prefilter: split off one factor at a time,
+    skip all-zero halves, and evaluate the hyperdeterminant at n = 3."""
+    n = z.n
+    if n < 3:
+        return None
+    if n == 3:
+        value = evaluate(cayley_hyperdet(3, (1, 2, 3)), z)
+        return value if value != 0 else None
+    for factor in range(1, n + 1):
+        for bit_value in (0, 1):
+            bit = 1 << (factor - 1)
+            low_mask = bit - 1
+            half = MinorVector(n - 1, tuple(
+                z.coords[((enc & ~low_mask) << 1) | (bit if bit_value else 0) | (enc & low_mask)]
+                for enc in range(1 << (n - 1))
+            ))
+            if half.is_zero():
+                continue
+            violation = reference_prefilter_violation(half)
+            if violation is not None:
+                return violation
+    return None
+
+
+def test_prefilter_slices_match_recursive_reference():
+    rng = random.Random(44)
+    bad = [1, 1, 1, 0, 1, 0, 0, 1]  # hyperdeterminant value 5
+    for n in range(3, 8):
+        full = (1 << n) - 1
+        z = minor_vector(random_symmetric_matrix(n, rng), 1)
+        lower = minor_vector(random_symmetric_matrix(n - 1, rng), 1)
+        probes = [
+            z,
+            perturb(z, full),
+            perturb(z, rng.randrange(1, full), rng.choice((1, -1, 2))),
+            perturb(z, rng.randrange(1, full), rng.choice((1, -1, 2))),
+            MinorVector.from_values(n, [rng.randint(-3, 3) for _ in range(1 << n)]),
+            # the first nonzero slice of a sparse vector depends on the visiting order
+            *(MinorVector.from_values(n, [rng.choice((1, -1, 2)) if rng.random() < 0.3 else 0
+                                          for _ in range(1 << n)])
+              for _ in range(8)),
+            # all-zero halves: the bad 3-factor vector on the lowest slice
+            MinorVector.from_values(n, bad + [0] * (full + 1 - 8)),
+            # the x_n = 0 half is zero, the other half is a perturbed member
+            MinorVector.from_values(
+                n, [0] * (1 << (n - 1)) + list(perturb(lower, (full >> 1) - 1).coords)),
+        ]
+        for probe in probes:
+            if probe.is_zero():
+                continue
+            expected = reference_prefilter_violation(probe)
+            report = is_member(probe, "prefilter")
+            if expected is None:
+                assert report.verdict == "indeterminate"
+                assert report.certificate is None
+            else:
+                assert report.verdict == "non-member"
+                assert report.certificate.value == expected
+            assert recursive_prefilter(probe) == (expected is None)
+
+
 def test_prefilter_base_case_is_single_hyperdet():
     z = MinorVector.from_values(3, [1, 1, 1, 0, 1, 0, 0, 1])
     assert not recursive_prefilter(z)
@@ -290,6 +353,26 @@ def test_reconstruct_numeric_round_trip():
     minors = all_principal_minors(b.entries, det_complex)
     for got, want in zip(minors, z.coords):
         assert abs(got - complex(want)) < 1e-7
+
+
+def test_reconstruct_numeric_tolerance_is_relative():
+    # 7x7 determinants reach 10^6..10^7, where float rounding alone
+    # exceeds an absolute 1e-9; relative to the expected value it does not.
+    rng = random.Random(2)
+    for _ in range(5):
+        z = minor_vector(random_symmetric_matrix(7, rng), 1)
+        b = reconstruct(z, "numeric", tol=1e-9)
+        minors = all_principal_minors(b.entries, det_complex)
+        for got, want in zip(minors, z.coords):
+            assert abs(got - want) <= 1e-9 * max(1, abs(want))
+
+
+def test_reconstruct_rejects_invalid_tol():
+    z = minor_vector(TRIDIAGONAL, 1)
+    for mode in ("exact", "numeric"):
+        for tol in (float("nan"), float("inf"), 0.0, -1.0):
+            with pytest.raises(ValueError, match="tol"):
+                reconstruct(z, mode, tol=tol)
 
 
 def test_reconstruct_bad_mode():
