@@ -66,7 +66,7 @@ def _cmd_check(args) -> int:
     z = documents.parse_minors_document(_read_document(args.infile))
     if z.is_zero():
         raise DocumentError("zero vector is not a projective point")
-    report = is_member(z, args.method, rng=random.Random(args.seed))
+    report = is_member(z, args.method)
     doc = documents.report_document(report)
     if args.out:
         _write_document(args.out, doc)
@@ -191,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="minors document")
     p.add_argument("--method", choices=("basis", "reconstruct", "prefilter"), default="basis")
     p.add_argument("--out", help="report document to write")
-    p.add_argument("--seed", type=int, default=0, help="seed for chart moves")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("reconstruct", help="rebuild a symmetric matrix from its minors")

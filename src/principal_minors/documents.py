@@ -79,9 +79,7 @@ def _expect(obj: dict, kind: str) -> dict:
 # -- matrix ------------------------------------------------------------
 
 def matrix_document(matrix: SymmetricMatrix) -> dict:
-    if matrix.is_integer() or all(
-        isinstance(v, (int, Fraction)) for row in matrix.entries for v in row
-    ):
+    if all(isinstance(v, (int, Fraction)) for row in matrix.entries for v in row):
         entries = [[_scalar_out(v) for v in row] for row in matrix.entries]
         return {
             "kind": "matrix",

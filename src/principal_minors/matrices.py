@@ -88,9 +88,6 @@ class SymmetricMatrix:
             ),
         )
 
-    def is_integer(self) -> bool:
-        return all(isinstance(v, int) for row in self.entries for v in row)
-
     def det(self) -> Scalar:
         return det_exact(self.rows())
 

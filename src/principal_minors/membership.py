@@ -18,7 +18,6 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -28,8 +27,7 @@ from .hyperdet import cayley_hyperdet, hd_basis
 from .indices import MinorVector
 from .matrices import SymmetricMatrix, det_complex, det_exact
 from .minor_map import all_principal_minors, minor_vector
-from .polynomials import act_point, evaluate
-from .sampling import random_special_element
+from .polynomials import GroupElement, act_point, evaluate
 from .scalars import Scalar, normalize, sqrt_exact
 
 VERDICT_MEMBER = "member"
@@ -53,7 +51,9 @@ class BasisViolation:
 
 @dataclass(frozen=True)
 class MatrixCertificate:
-    """z equals scale * minor_vector(matrix, 1) for the certified point."""
+    """scale * minor_vector(matrix, 1) equals the certified point: z
+    itself, or J_I . z after the chart move of `is_member` (the report's
+    chart_moves is then 1)."""
     matrix: SymmetricMatrix
     scale: Scalar
 
@@ -159,28 +159,26 @@ def reconstruct(z: MinorVector, mode: str = "exact", tol: float = 1e-9) -> Symme
     freedom) and the remaining 2^cycles patterns are filtered by the
     |I| = 3 coordinates, then fully verified.
 
-    Exact mode works over the rationals.  Numeric mode works over
-    complex floats and treats a value as equal to an expected value b
-    when they differ by at most tol * max(1, |b|); tol must be finite
-    and positive.
+    Both modes divide z by z_[0..0] exactly, so z and every nonzero
+    multiple of it give the same matrix.  Exact mode then works over the
+    rationals.  Numeric mode works over complex floats and treats a
+    value as equal to an expected value b when they differ by at most
+    tol * max(1, |b|); tol must be finite and positive.
     """
     if mode not in ("exact", "numeric"):
         raise ValueError(f"unknown mode {mode!r}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    n = z.n
-    if mode == "exact":
-        z0 = z[0]
-        scale, det, sqrt, close = (
-            lambda c: normalize(Fraction(c) / z0), det_exact, sqrt_exact, operator.eq)
-    else:
-        z0 = complex(z[0])
-        scale, det, sqrt, close = (
-            lambda c: complex(c) / z0, det_complex, cmath.sqrt,
-            lambda a, b: abs(a - b) <= tol * max(1, abs(b)))
-    if close(z0, 0):
+    n, z0 = z.n, z[0]
+    if z0 == 0:
         raise ZeroLeadingCoordinateError("leading coordinate z_[0..0] is zero")
-    w = [scale(c) for c in z.coords]
+    w = [normalize(Fraction(c) / z0) for c in z.coords]
+    if mode == "exact":
+        det, sqrt, close = det_exact, sqrt_exact, operator.eq
+    else:
+        w = [complex(c) for c in w]
+        det, sqrt, close = (det_complex, cmath.sqrt,
+                            lambda a, b: abs(a - b) <= tol * max(1, abs(b)))
     diag = [w[1 << i] for i in range(n)]
     mag = {}
     edges = []
@@ -268,14 +266,18 @@ def recursive_prefilter(z: MinorVector) -> bool:
 
 # -- membership --------------------------------------------------------
 
-def is_member(z: MinorVector, method: str = "basis", *,
-              rng: Optional[random.Random] = None,
-              max_chart_moves: int = 8) -> MembershipReport:
+def is_member(z: MinorVector, method: str = "basis") -> MembershipReport:
     """Decide membership and attach a certificate.
 
     n <= 2 vectors are members unconditionally (the map is surjective
-    there).  With method="reconstruct" and a zero leading coordinate,
-    random determinant-1 moves are applied to reach the open chart.
+    there).  With method="reconstruct" and z_[0..0] = 0, z is first
+    moved into the open chart by J_I: the Weyl element J = [[0, 1],
+    [-1, 0]] of SL(2) on every factor k with i_k = 1, where I is the
+    first nonzero coordinate of z in encoding order, and the identity
+    elsewhere.  Then (J_I . z)_[0..0] = z_I.  Z_n is SL(2)^n-invariant,
+    so the verdict is unchanged; the certificate certifies J_I . z and
+    chart_moves is 1.  J_I depends on z alone, so the certificate can be
+    checked from z and the report.
     """
     if method not in ("basis", "reconstruct", "prefilter"):
         raise ValueError(f"unknown method {method!r}")
@@ -302,16 +304,14 @@ def is_member(z: MinorVector, method: str = "basis", *,
         return MembershipReport(n, VERDICT_MEMBER, method)
     if method == "reconstruct":
         moves = 0
-        current = z
-        rng = rng or random.Random(0)
-        while current[0] == 0 and moves < max_chart_moves:
-            g = random_special_element(n, rng)
-            current = act_point(g, current)
-            moves += 1
-        if current[0] == 0:
-            return MembershipReport(n, VERDICT_INDETERMINATE, method, None, moves)
+        if z[0] == 0:
+            first = next(enc for enc, c in enumerate(z.coords) if c != 0)
+            weyl = GroupElement.from_matrices(
+                [((0, 1), (-1, 0)) if (first >> k) & 1 else ((1, 0), (0, 1)) for k in range(n)])
+            z = act_point(weyl, z)
+            moves = 1
         try:
-            matrix = reconstruct(current, "exact")
+            matrix = reconstruct(z, "exact")
         except NonSquareEntryError as err:
             return MembershipReport(
                 n, VERDICT_INDETERMINATE, method,
@@ -325,7 +325,7 @@ def is_member(z: MinorVector, method: str = "basis", *,
                 MinorMismatch(err.encoding, err.expected, err.actual), moves,
             )
         return MembershipReport(
-            n, VERDICT_MEMBER, method, MatrixCertificate(matrix, current[0]), moves
+            n, VERDICT_MEMBER, method, MatrixCertificate(matrix, z[0]), moves
         )
     # method == "prefilter"
     violation = _prefilter_violation(z)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .indices import BinaryIndex, MinorVector
@@ -150,9 +150,6 @@ class TensorPolynomial:
         """Terms in graded-lex order (deterministic)."""
         for key in sorted(self._terms, key=grlex_key):
             yield unpack_monomial(key), self._terms[key]
-
-    def coefficient(self, pairs: Iterable[tuple[int, int]]) -> Scalar:
-        return self._terms.get(pack_monomial(pairs), 0)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, TensorPolynomial)
@@ -378,11 +375,6 @@ class GroupElement:
         eye: Matrix2 = ((1, 0), (0, 1))
         return cls(n, (eye,) * n, tuple(permutation))
 
-    @property
-    def is_special(self) -> bool:
-        """True when every factor matrix has determinant 1."""
-        return all(_det2(m) == 1 for m in self.factor_matrices)
-
 
 def _permute_encoding(enc: int, perm: Sequence[int]) -> int:
     # Bit p of the result is bit perm[p] of enc.
@@ -421,47 +413,37 @@ def act_point(g: GroupElement, z: MinorVector) -> MinorVector:
                                   for c in coords))
 
 
+def _substitute(poly: TensorPolynomial, n: int,
+                forms: Sequence[Sequence[tuple[int, Scalar]]]) -> TensorPolynomial:
+    """Replace each variable X^enc by the linear form sum of c * X^e over
+    the (e, c) pairs in forms[enc], expand, and return the result as a
+    polynomial on n factors."""
+    acc: dict[int, Scalar] = {}
+    for key, coeff in poly._terms.items():
+        partial: dict[int, Scalar] = {0: coeff}
+        for enc, exp in unpack_monomial(key):
+            for _ in range(exp):
+                nxt: dict[int, Scalar] = {}
+                for pk, pc in partial.items():
+                    for target, c in forms[enc]:
+                        if c != 0:
+                            # (target << EXP_BITS) | 1 is the packed monomial X^target
+                            mk = monomial_mul(pk, (target << EXP_BITS) | 1)
+                            nxt[mk] = nxt.get(mk, 0) + pc * c
+                partial = nxt
+        for mk, mc in partial.items():
+            acc[mk] = acc.get(mk, 0) + mc
+    return TensorPolynomial(n, acc)
+
+
 def apply_factor_matrix(poly: TensorPolynomial, factor: int, m: Matrix2) -> TensorPolynomial:
     """Substitute X^(i_k=b) -> m[b][0] X^(i_k=0) + m[b][1] X^(i_k=1)."""
     if not 1 <= factor <= poly.n:
         raise ValueError(f"factor {factor} out of range 1..{poly.n}")
     bit = 1 << (factor - 1)
-    acc: dict[int, Scalar] = {}
-    for key, coeff in poly._terms.items():
-        partial: dict[int, Scalar] = {0: coeff}
-        for enc, exp in unpack_monomial(key):
-            b = 1 if enc & bit else 0
-            a0, a1 = m[b][0], m[b][1]
-            lo, hi = enc & ~bit, enc | bit
-            branch: list[tuple[int, Scalar]] = []
-            for j in range(exp + 1):
-                c = comb(exp, j) * a0 ** (exp - j) * a1**j
-                if c == 0:
-                    continue
-                pairs = []
-                if exp - j:
-                    pairs.append((lo, exp - j))
-                if j:
-                    pairs.append((hi, j))
-                branch.append((pack_monomial(pairs), c))
-            nxt: dict[int, Scalar] = {}
-            for pk, pc in partial.items():
-                for bk, bc in branch:
-                    mk = monomial_mul(pk, bk)
-                    nxt[mk] = nxt.get(mk, 0) + pc * bc
-            partial = nxt
-        for mk, mc in partial.items():
-            acc[mk] = acc.get(mk, 0) + mc
-    return TensorPolynomial(poly.n, acc)
-
-
-def _rename_variables(poly: TensorPolynomial, enc_map: Sequence[int]) -> TensorPolynomial:
-    acc: dict[int, Scalar] = {}
-    for key, coeff in poly._terms.items():
-        pairs = [(enc_map[enc], exp) for enc, exp in unpack_monomial(key)]
-        new_key = pack_monomial(pairs)
-        acc[new_key] = acc.get(new_key, 0) + coeff
-    return TensorPolynomial(poly.n, acc)
+    forms = [tuple(zip((enc & ~bit, enc | bit), m[1 if enc & bit else 0]))
+             for enc in range(1 << poly.n)]
+    return _substitute(poly, poly.n, forms)
 
 
 def act(g: GroupElement, poly: TensorPolynomial) -> TensorPolynomial:
@@ -474,9 +456,8 @@ def act(g: GroupElement, poly: TensorPolynomial) -> TensorPolynomial:
         out = apply_factor_matrix(out, k, _inv2(g.factor_matrices[k - 1]))
     if g.permutation != tuple(range(g.n)):
         inv = _invert_permutation(g.permutation)
-        size = 1 << g.n
-        enc_map = [_permute_encoding(enc, inv) for enc in range(size)]
-        out = _rename_variables(out, enc_map)
+        out = _substitute(out, g.n, [((_permute_encoding(enc, inv), 1),)
+                                     for enc in range(1 << g.n)])
     return out
 
 
@@ -583,27 +564,5 @@ def augment(poly: TensorPolynomial, gamma: tuple[Scalar, Scalar]) -> TensorPolyn
     re-expresses poly on n+1 factors with a trailing zero bit."""
     g0, g1 = as_scalar(gamma[0]), as_scalar(gamma[1])
     new_bit = 1 << poly.n
-    acc: dict[int, Scalar] = {}
-    for key, coeff in poly._terms.items():
-        partial: dict[int, Scalar] = {0: coeff}
-        for enc, exp in unpack_monomial(key):
-            branch: list[tuple[int, Scalar]] = []
-            for j in range(exp + 1):
-                c = comb(exp, j) * g0 ** (exp - j) * g1**j
-                if c == 0:
-                    continue
-                pairs = []
-                if exp - j:
-                    pairs.append((enc, exp - j))
-                if j:
-                    pairs.append((enc | new_bit, j))
-                branch.append((pack_monomial(pairs), c))
-            nxt: dict[int, Scalar] = {}
-            for pk, pc in partial.items():
-                for bk, bc in branch:
-                    mk = monomial_mul(pk, bk)
-                    nxt[mk] = nxt.get(mk, 0) + pc * bc
-            partial = nxt
-        for mk, mc in partial.items():
-            acc[mk] = acc.get(mk, 0) + mc
-    return TensorPolynomial(poly.n + 1, acc)
+    forms = [((enc, g0), (enc | new_bit, g1)) for enc in range(1 << poly.n)]
+    return _substitute(poly, poly.n + 1, forms)

@@ -237,11 +237,14 @@ def weight_basis(hwv: TensorPolynomial, depths: Sequence[int]) -> list[WeightBas
         raise ValueError(f"need {hwv.n} depths")
     if not is_highest_weight(hwv):
         raise ValueError("input is not a highest weight vector (raising does not annihilate)")
+    # Each lowering in factor k adds 2 to weight component k.
+    top = weight_of(hwv)
     out: list[WeightBasisVector] = []
 
     def descend(factor: int, exponents: tuple[int, ...], poly: TensorPolynomial):
         if factor > hwv.n:
-            out.append(WeightBasisVector(exponents, poly.normalized(), weight_of(poly)))
+            weight = tuple(w + 2 * e for w, e in zip(top, exponents))
+            out.append(WeightBasisVector(exponents, poly.normalized(), weight))
             return
         current = poly
         for e in range(depths[factor - 1] + 1):

@@ -24,7 +24,10 @@ def as_scalar(value) -> Scalar:
     if isinstance(value, Fraction):
         return normalize(value)
     if isinstance(value, str):
-        return normalize(Fraction(value))
+        try:
+            return normalize(Fraction(value))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as an exact scalar")
 
 
@@ -37,6 +40,8 @@ def normalize(value: Scalar) -> Scalar:
 
 def scalar_str(value: Scalar) -> str:
     """Serialize as "p/q" with q > 0 and gcd(p, q) = 1."""
+    if not isinstance(value, (int, Fraction)):
+        raise ValueError(f"cannot write {value!r} as an exact rational")
     f = Fraction(value)
     return f"{f.numerator}/{f.denominator}"
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -31,6 +32,27 @@ def test_minors_with_t_flag(tmp_path):
     write_matrix(mfile, [[1, 2], [2, 3]])
     assert main(["minors", "--in", str(mfile), "--out", str(zfile), "--t", "0"]) == 0
     assert loads(zfile.read_text())["coords"] == ["0/1", "0/1", "0/1", "-1/1"]
+
+
+def test_minors_rejects_scalars_it_cannot_write(tmp_path, capsys):
+    mfile, zfile, out = tmp_path / "m.json", tmp_path / "z.json", tmp_path / "out.json"
+    write_matrix(mfile, [[1, 2], [2, 3]])
+    assert main(["minors", "--in", str(mfile), "--out", str(out), "--t", "1/0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
+    # numeric reconstruction writes a complex matrix document; its minors
+    # are not exact rationals
+    write_minors(zfile, minor_vector(SymmetricMatrix.from_rows([[1, 1, 0], [1, 2, 1],
+                                                                 [0, 1, 3]]), 1))
+    assert main(["reconstruct", "--in", str(zfile), "--out", str(mfile),
+                 "--mode", "numeric"]) == 0
+    assert loads(mfile.read_text())["scalar_type"] == "complex"
+    capsys.readouterr()
+    assert main(["minors", "--in", str(mfile), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_minors_identity_2x2(tmp_path):
@@ -93,6 +115,31 @@ def test_check_reconstruct_method(tmp_path):
     assert doc["certificate"]["type"] == "matrix"
     back = documents.parse_matrix_document(doc["certificate"]["matrix"])
     assert minor_vector(back, 1) == z
+
+
+def test_check_reconstruct_zero_leading_is_deterministic_and_checkable(tmp_path, capsys):
+    from principal_minors import MinorVector
+
+    z = MinorVector.from_values(3, [0, 1, 1, 0, 1, 0, 0, 0])
+    zfile, r1, r2 = tmp_path / "z.json", tmp_path / "r1.json", tmp_path / "r2.json"
+    write_minors(zfile, z)
+    for report in (r1, r2):
+        assert main(["check", "--in", str(zfile), "--method", "reconstruct",
+                     "--out", str(report)]) == 0
+    assert r1.read_bytes() == r2.read_bytes()
+    doc = loads(r1.read_text())
+    assert doc["chart_moves"] == 1
+    # the first nonzero coordinate is z_[1,0,0], so J acts on factor 1
+    # alone: (x0, x1) -> (x1, -x0)
+    moved = [z[enc ^ 1] * (-1 if enc & 1 else 1) for enc in range(8)]
+    back = documents.parse_matrix_document(doc["certificate"]["matrix"])
+    scale = Fraction(doc["certificate"]["scale"])
+    assert list(minor_vector(back, 1).scale(scale).coords) == moved
+    # there is no seed to choose a chart move with
+    with pytest.raises(SystemExit) as err:
+        main(["check", "--in", str(zfile), "--method", "reconstruct", "--seed", "1"])
+    assert err.value.code == 2
+    capsys.readouterr()
 
 
 def test_reconstruct_subcommand(tmp_path):

@@ -27,7 +27,7 @@ from principal_minors.membership import (
 )
 from principal_minors.matrices import det_complex
 from principal_minors.minor_map import all_principal_minors
-from principal_minors.polynomials import act_point, evaluate
+from principal_minors.polynomials import GroupElement, act_point, evaluate
 from principal_minors.sampling import random_special_element, random_symmetric_matrix
 
 from conftest import laplace_det, symmetric_rows_strategy
@@ -93,14 +93,38 @@ def test_unknown_method_rejected():
         is_member(MinorVector.unit(2, 0), "bogus")
 
 
+def weyl_moved(z: MinorVector) -> MinorVector:
+    """J_I . z for J = [[0, 1], [-1, 0]] on every factor of the first
+    nonzero coordinate I: J sends (x0, x1) to (x1, -x0) in one factor,
+    so (J_I . z)_E = (-1)^|E & I| z_(E xor I)."""
+    first = next(enc for enc, c in enumerate(z.coords) if c != 0)
+    return MinorVector.from_values(z.n, [(-1) ** bin(enc & first).count("1") * z[enc ^ first]
+                                         for enc in range(1 << z.n)])
+
+
 def test_chart_moves_reach_open_chart():
-    z = MinorVector.unit(4, 15)  # only the top coordinate; z_[0..0] = 0
-    report = is_member(z, "reconstruct", rng=random.Random(2))
-    assert report.verdict == "member"
-    assert report.chart_moves >= 1
-    cert = report.certificate
-    assert isinstance(cert, MatrixCertificate)
-    assert cert.matrix.n == 4 and cert.scale != 0
+    rng = random.Random(44)
+    points = [
+        MinorVector.unit(4, 15),  # only the top coordinate
+        MinorVector.from_values(3, [0, 1, 1, 0, 1, 0, 0, 0]),
+        minor_vector(SymmetricMatrix.from_rows([[2, 1, 0], [1, 3, 1], [0, 1, 5]]), 0),
+        minor_vector(TRIDIAGONAL, 0),
+    ]
+    # members with a_11 = 0: J on factor 1 moves the zero z_[1,0,..] to the front
+    for n in (3, 4, 5):
+        rows = random_symmetric_matrix(n, rng, nonzero_offdiag=True).rows()
+        rows[0][0] = 0
+        z = minor_vector(SymmetricMatrix.from_rows(rows), 1)
+        flip = GroupElement.from_matrices([((0, 1), (-1, 0))] + [((1, 0), (0, 1))] * (n - 1))
+        points.append(act_point(flip, z))
+    for z in points:
+        assert z[0] == 0
+        report = is_member(z, "reconstruct")
+        assert report.verdict == "member", z
+        assert report.chart_moves == 1
+        cert = report.certificate
+        assert isinstance(cert, MatrixCertificate)
+        assert minor_vector(cert.matrix, 1).scale(cert.scale) == weyl_moved(z)
 
 
 def test_method_agreement_on_mixed_inputs():
@@ -364,6 +388,20 @@ def test_reconstruct_numeric_tolerance_is_relative():
         b = reconstruct(z, "numeric", tol=1e-9)
         minors = all_principal_minors(b.entries, det_complex)
         for got, want in zip(minors, z.coords):
+            assert abs(got - want) <= 1e-9 * max(1, abs(want))
+
+
+def test_reconstruct_numeric_is_projective():
+    # a tiny leading coordinate is still in the open chart: exact and
+    # numeric mode agree that the 10^-12 multiple has the same matrix
+    a = SymmetricMatrix.from_rows([[12345, 0, 0, 7], [0, 67891, 0, 0],
+                                   [0, 0, 23456, 0], [7, 0, 0, 98765]])
+    z = minor_vector(a, 1)
+    tiny = z.scale(Fraction(1, 10**12))
+    assert reconstruct(tiny, "exact") == reconstruct(z, "exact")
+    b, b_tiny = reconstruct(z, "numeric"), reconstruct(tiny, "numeric")
+    for row, row_tiny in zip(b.entries, b_tiny.entries):
+        for want, got in zip(row, row_tiny):
             assert abs(got - want) <= 1e-9 * max(1, abs(want))
 
 
