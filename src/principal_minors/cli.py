@@ -3,7 +3,8 @@
 Subcommands: minors, check, reconstruct, hd-basis, rep (multiplicity |
 decompose | lower-to-lowest), experiment (sign-flip).  All file I/O is
 versioned JSON documents; exit codes are 0 member/success, 1
-non-member, 2 input or usage error, 3 indeterminate.
+non-member, 2 input or usage error, 3 indeterminate (check --method
+prefilter) or no rational symmetric matrix (reconstruct --mode exact).
 """
 
 from __future__ import annotations
@@ -80,12 +81,12 @@ def _cmd_check(args) -> int:
 def _cmd_reconstruct(args) -> int:
     z = documents.parse_minors_document(_read_document(args.infile))
     try:
-        matrix = reconstruct(z, args.mode, args.tol)
+        matrix = reconstruct(z, args.mode)
     except ZeroLeadingCoordinateError as err:
         print(f"error: {err} (the open chart z_[0..0] != 0 is required)", file=sys.stderr)
         return EXIT_USAGE
     except NonSquareEntryError as err:
-        print(f"indeterminate: {err}", file=sys.stderr)
+        print(f"member, not rational: {err}", file=sys.stderr)
         return EXIT_INDETERMINATE
     except (NoConsistentSignsError, MinorMismatchError) as err:
         print(f"non-member: {err}", file=sys.stderr)
@@ -196,10 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct", help="rebuild a symmetric matrix from its minors")
     p.add_argument("--in", dest="infile", required=True, help="minors document")
     p.add_argument("--out", required=True, help="matrix document to write")
-    p.add_argument("--mode", choices=("exact", "numeric"), default="exact")
-    p.add_argument("--tol", type=float, default=1e-9,
-                   help="numeric-mode relative tolerance: a minor m matches an expected"
-                        " value b when |m - b| <= tol * max(1, |b|); finite and > 0")
+    p.add_argument("--mode", choices=("exact", "numeric"), default="exact",
+                   help="numeric writes complex floats; it decides exactly first")
     p.set_defaults(func=_cmd_reconstruct)
 
     p = sub.add_parser("hd-basis", help="generate the degree-4 module basis")

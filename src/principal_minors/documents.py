@@ -24,9 +24,9 @@ from .membership import (
     MembershipReport,
     MinorMismatch,
     NoConsistentSigns,
-    NonSquareEntry,
     PrefilterViolation,
     SignFlipProfile,
+    SymmetrizableCertificate,
 )
 from .polynomials import TensorPolynomial
 from .scalars import Scalar, normalize, scalar_str
@@ -256,14 +256,19 @@ def _certificate_payload(certificate) -> dict | None:
             "expected": expected,
             "actual": actual,
         }
-    if isinstance(certificate, NoConsistentSigns):
-        return {"type": "no-consistent-signs"}
-    if isinstance(certificate, NonSquareEntry):
+    if isinstance(certificate, SymmetrizableCertificate):
         return {
-            "type": "non-square-entry",
-            "i": certificate.i,
-            "j": certificate.j,
-            "value": _scalar_out(certificate.value),
+            "type": "symmetrizable-matrix",
+            "rows": [[_scalar_out(v) for v in row] for row in certificate.rows],
+            "scale": _scalar_out(certificate.scale),
+        }
+    if isinstance(certificate, NoConsistentSigns):
+        return {
+            "type": "no-consistent-signs",
+            "check": certificate.check,
+            "encoding": certificate.encoding,
+            "expected": _scalar_out(certificate.expected),
+            "actual": _scalar_out(certificate.actual),
         }
     if isinstance(certificate, PrefilterViolation):
         return {"type": "prefilter-violation", "value": _scalar_out(certificate.value)}
@@ -300,11 +305,13 @@ def _parse_certificate(payload):
             else:
                 expected, actual = complex(expected), complex(actual)
             return MinorMismatch(int(payload["encoding"]), expected, actual)
+        if kind == "symmetrizable-matrix":
+            rows = tuple(tuple(_scalar_in(v) for v in row) for row in payload["rows"])
+            return SymmetrizableCertificate(rows, _scalar_in(payload["scale"]))
         if kind == "no-consistent-signs":
-            return NoConsistentSigns()
-        if kind == "non-square-entry":
-            return NonSquareEntry(int(payload["i"]), int(payload["j"]),
-                                  _scalar_in(payload["value"]))
+            return NoConsistentSigns(payload["check"], int(payload["encoding"]),
+                                     _scalar_in(payload["expected"]),
+                                     _scalar_in(payload["actual"]))
         if kind == "prefilter-violation":
             return PrefilterViolation(_scalar_in(payload["value"]))
     except (KeyError, TypeError, ValueError) as err:

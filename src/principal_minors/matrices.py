@@ -2,8 +2,9 @@
 
 Determinants use fraction-free Bareiss elimination (exact division at
 every step, polynomial bit growth) with direct cofactor formulas for
-sizes up to 3.  A complex floating variant backs the numeric
-reconstruction mode only; nothing in the algebraic core touches floats.
+sizes up to 3.  A complex floating variant checks matrices written in
+complex floats (the numeric reconstruction mode); nothing in the
+algebraic core touches floats.
 """
 
 from __future__ import annotations
@@ -161,7 +162,7 @@ def _bareiss(rows: list[list[Scalar]]) -> Scalar:
 
 
 def det_complex(rows: list[list[complex]]) -> complex:
-    """LU determinant with partial pivoting, for the numeric mode."""
+    """LU determinant with partial pivoting, for complex float matrices."""
     m = [list(map(complex, r)) for r in rows]
     n = len(m)
     if n == 0:

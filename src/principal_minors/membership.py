@@ -4,9 +4,12 @@ Three methods:
   basis       evaluate every entry of the degree-4 module basis; all
               zeros certifies membership over the complex numbers, any
               nonzero value is a non-membership certificate.
-  reconstruct rebuild a symmetric matrix from the |I| <= 2 coordinates,
-              resolve off-diagonal signs against the |I| = 3
-              coordinates, verify all 2^n minors.
+  reconstruct rebuild one candidate matrix, square-root free: the
+              diagonal and each a_ij^2 from the |I| <= 2 coordinates,
+              the product of the a_e around each cycle of a minimum
+              cycle basis from that cycle's coordinate; check every
+              |I| = 3 coordinate, then all 2^n.  Decides every vector
+              with z_[0..0] != 0 (after one chart move otherwise).
   prefilter   necessary condition: Cayley's 2x2x2 hyperdeterminant on
               each of the C(n,3) * 2^(n-3) slices that fix every factor
               outside a triple to 0 or 1, each slice checked once.
@@ -16,8 +19,6 @@ Three methods:
 from __future__ import annotations
 
 import cmath
-import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -25,7 +26,7 @@ from typing import Optional
 
 from .hyperdet import cayley_hyperdet, hd_basis
 from .indices import MinorVector
-from .matrices import SymmetricMatrix, det_complex, det_exact
+from .matrices import SymmetricMatrix, det_exact
 from .minor_map import all_principal_minors, minor_vector
 from .polynomials import GroupElement, act_point, evaluate
 from .scalars import Scalar, normalize, sqrt_exact
@@ -66,15 +67,24 @@ class MinorMismatch:
 
 
 @dataclass(frozen=True)
-class NoConsistentSigns:
-    pass
+class SymmetrizableCertificate:
+    """scale * (principal minors of rows) equals the certified point.
+    rows is rational but not symmetric: b_ij b_ji = s_ij, the zero
+    pattern is symmetric and the products forward and backward around
+    every cycle agree, so rows is diagonally similar to a complex
+    symmetric matrix.  Some s_ij is not a rational square, so no
+    rational symmetric matrix has these minors."""
+    rows: tuple[tuple[Scalar, ...], ...]
+    scale: Scalar
 
 
 @dataclass(frozen=True)
-class NonSquareEntry:
-    i: int
-    j: int
-    value: Scalar
+class NoConsistentSigns:
+    """See NoConsistentSignsError: check is "cycle" or "triple"."""
+    check: str
+    encoding: int
+    expected: Scalar
+    actual: Scalar
 
 
 @dataclass(frozen=True)
@@ -110,17 +120,33 @@ class ZeroLeadingCoordinateError(ReconstructionError):
 
 
 class NonSquareEntryError(ReconstructionError):
-    def __init__(self, i: int, j: int, value: Scalar):
+    """z is a member, but a_ij^2 = s_ij is not a rational square for
+    some edge, so no rational symmetric matrix has these minors.  rows
+    is the verified rational matrix B of `reconstruct`; real says
+    whether a real symmetric matrix exists (every s_e > 0)."""
+
+    def __init__(self, i: int, j: int, value: Scalar, real: bool, rows):
         super().__init__(
-            f"a_{i + 1},{i + 1}*a_{j + 1},{j + 1} - z offset {value} is not a rational "
-            "square; try numeric mode (complex off-diagonals)"
+            f"a_{i + 1},{j + 1}^2 = {value} is not a rational square, so no rational"
+            f" symmetric matrix has these minors; "
+            + ("a real one does" if real else "no real one does either (some a_kl^2 < 0)")
+            + " (numeric mode writes one in complex floats)"
         )
-        self.i, self.j, self.value = i, j, value
+        self.i, self.j, self.value, self.real, self.rows = i, j, value, real, rows
 
 
 class NoConsistentSignsError(ReconstructionError):
-    def __init__(self):
-        super().__init__("no off-diagonal sign pattern matches the |I|=3 coordinates")
+    """check "cycle": on the chordless cycle with vertex set `encoding`,
+    the cycle product read from z squares to `actual`, not to the product
+    `expected` of its squared entries.  check "triple": the candidate's
+    minor at `encoding` is `actual`, not z's `expected`."""
+
+    def __init__(self, check: str, encoding: int, expected, actual):
+        super().__init__(
+            f"no off-diagonal signs fit the {check} at encoding {encoding}:"
+            f" expected {expected}, got {actual}"
+        )
+        self.check, self.encoding, self.expected, self.actual = check, encoding, expected, actual
 
 
 class MinorMismatchError(ReconstructionError):
@@ -150,81 +176,260 @@ def _spanning_forest(n: int, edges: list[tuple[int, int]]
     return forest, cycles
 
 
-def reconstruct(z: MinorVector, mode: str = "exact", tol: float = 1e-9) -> SymmetricMatrix:
+def _bfs_tree(adjacency: list[list[int]], sources) -> tuple[list[int], list[int]]:
+    """Parent and depth of each vertex in breadth-first trees grown from
+    sources in turn; a root is its own parent, an unreached vertex has
+    parent -1."""
+    parent, depth = [-1] * len(adjacency), [0] * len(adjacency)
+    for source in sources:
+        if parent[source] >= 0:
+            continue
+        parent[source] = source
+        queue = [source]
+        for x in queue:
+            for y in adjacency[x]:
+                if parent[y] < 0:
+                    parent[y], depth[y] = x, depth[x] + 1
+                    queue.append(y)
+    return parent, depth
+
+
+def _climb(parent: list[int], x: int) -> list[int]:
+    path = [x]
+    while parent[x] != x:
+        x = parent[x]
+        path.append(x)
+    return path
+
+
+def _edge(x: int, y: int) -> tuple[int, int]:
+    return (x, y) if x < y else (y, x)
+
+
+def _path_edges(path: list[int]) -> list[tuple[int, int]]:
+    return [_edge(x, y) for x, y in zip(path, path[1:])]
+
+
+def _solve_gauge(w: list, n: int):
+    """Cycle products of every symmetric matrix with minors w, which all
+    agree up to the D A D gauge (Engel-Schneider).  Returns the diagonal,
+    each s_ij = a_ii a_jj - w_ij = a_ij^2 on the edges (s_ij != 0), the
+    spanning forest and its `parent` rooting, and for each edge (i, j)
+    off the forest its forest paths i -> lca and j -> lca with the
+    product of the a_e around the cycle they close.
+
+    For a chordless cycle C of length m, det(A_C) depends on the a_e only
+    through the s_e and the cycle product pi_C, with slope 2(-1)^(m+1):
+    the two cyclic permutations.  So pi_C is read off w_C, and a member
+    has pi_C^2 = prod_C s_e.  The cycles of a minimum cycle basis are
+    chordless (Horton: candidates v -> x, (x, y), y -> v along the BFS
+    tree of each vertex v, shortest first, kept when independent over
+    GF(2)), and pi(X xor Y) = pi(X) pi(Y) / prod_(X and Y) s_e carries
+    the products to every fundamental cycle of the forest.
+    """
+    diag = [w[1 << i] for i in range(n)]
+    s = {}
+    for i, j in combinations(range(n), 2):
+        value = diag[i] * diag[j] - w[(1 << i) | (1 << j)]
+        if value != 0:
+            s[(i, j)] = value
+    edges = list(s)
+    forest, off_forest = _spanning_forest(n, edges)
+    bit = {e: 1 << k for k, e in enumerate(edges)}
+    s_of_bit = list(s.values())
+
+    def mask_of(path_edges):
+        return sum(bit[e] for e in path_edges)
+
+    def merge(row, other):
+        # pi(X xor Y) = pi(X) pi(Y) / prod of s_e over the shared edges
+        (x, pi_x), (y, pi_y) = row, other
+        shared, common = 1, x & y
+        while common:
+            low = common & -common
+            shared *= s_of_bit[low.bit_length() - 1]
+            common ^= low
+        return x ^ y, normalize(Fraction(pi_x * pi_y) / shared)
+
+    # GF(2) echelon rows of the cycle space, keyed by their top edge bit,
+    # each with the product of a_e over its edges.
+    echelon: dict[int, tuple[int, Scalar]] = {}
+
+    def reduce(mask):
+        used = []
+        while mask and (mask.bit_length() - 1) in echelon:
+            row = echelon[mask.bit_length() - 1]
+            mask ^= row[0]
+            used.append(row)
+        return mask, used
+
+    adjacency = [[] for _ in range(n)]
+    for i, j in edges:
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+    trees = [_bfs_tree(adjacency, [v]) for v in range(n)]
+    candidates = sorted(
+        (depth[x] + depth[y] + 1, v, x, y)
+        for v, (parent, depth) in enumerate(trees)
+        for x, y in edges
+        if parent[x] >= 0 and parent[x] != y and parent[y] != x
+    )
+    for _, v, x, y in candidates:
+        if len(echelon) == len(off_forest):
+            break
+        up_x, up_y = _climb(trees[v][0], x), _climb(trees[v][0], y)
+        if set(up_x).intersection(up_y) != {v}:
+            continue
+        cycle = up_x[::-1] + up_y[:-1]
+        cycle_edges = _path_edges(cycle + [v])
+        cycle_mask = mask_of(cycle_edges)
+        mask, used = reduce(cycle_mask)
+        if not mask:
+            continue
+        pi = _cycle_product(cycle, diag, s, w)
+        squares = 1
+        for e in cycle_edges:
+            squares *= s[e]
+        if pi * pi != squares:
+            raise NoConsistentSignsError("cycle", sum(1 << c for c in cycle), squares, pi * pi)
+        row = (cycle_mask, pi)
+        for other in used:
+            row = merge(row, other)
+        echelon[mask.bit_length() - 1] = row
+
+    forest_adjacency = [[] for _ in range(n)]
+    for i, j in forest:
+        forest_adjacency[i].append(j)
+        forest_adjacency[j].append(i)
+    parent = _bfs_tree(forest_adjacency, range(n))[0]
+    fundamental = []
+    for i, j in off_forest:
+        up_i, up_j = _climb(parent, i), _climb(parent, j)
+        on_j = set(up_j)
+        lca = next(x for x in up_i if x in on_j)
+        path_i = _path_edges(up_i[:up_i.index(lca) + 1])
+        path_j = _path_edges(up_j[:up_j.index(lca) + 1])
+        row = (0, 1)
+        for other in reduce(bit[(i, j)] | mask_of(path_i) | mask_of(path_j))[1]:
+            row = merge(row, other)
+        fundamental.append(((i, j), path_i, path_j, row[1]))
+    return diag, s, parent, forest, fundamental
+
+
+def _cycle_product(cycle: list[int], diag: list, s: dict, w: list) -> Scalar:
+    """pi_C read off w_C for a chordless cycle C.  The matrix B0 with
+    b_(c_k, c_(k+1)) = 1 and b_(c_(k+1), c_k) = s_e around C has the same
+    terms as A_C except the two cycle terms, 1 + prod s_e in place of
+    2 pi_C, each with sign (-1)^(m+1)."""
+    m = len(cycle)
+    rows = [[0] * m for _ in range(m)]
+    squares = 1
+    for k, v in enumerate(cycle):
+        nxt = (k + 1) % m
+        s_e = s[_edge(v, cycle[nxt])]
+        rows[k][k] = diag[v]
+        rows[k][nxt], rows[nxt][k] = 1, s_e
+        squares *= s_e
+    sign = 1 if m % 2 else -1
+    value = sign * (w[sum(1 << v for v in cycle)] - det_exact(rows)) + 1 + squares
+    return normalize(Fraction(value) / 2)
+
+
+def _symmetric_rows(diag: list, roots: dict, fundamental: list) -> list[list]:
+    """Forest edges get roots[e] (a square root of s_e); each other edge
+    gets its cycle product divided by the roots along its forest path."""
+    n = len(diag)
+    rows = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    for (i, j), root in roots.items():
+        rows[i][j] = rows[j][i] = root
+    for (i, j), path_i, path_j, pi in fundamental:
+        value = Fraction(pi)
+        for e in path_i + path_j:
+            value /= roots[e]
+        rows[i][j] = rows[j][i] = normalize(value) if isinstance(value, Fraction) else value
+    return rows
+
+
+def _similar_rows(diag: list, s: dict, parent: list[int], fundamental: list) -> list[list]:
+    """The rational B diagonally similar to the symmetric A: b_pc = 1 and
+    b_cp = s_pc from parent p to child c on the forest; off it, b_ij
+    closes the cycle i -> j -> lca -> i with product pi, and
+    b_ji = s_ij / b_ij."""
+    n = len(diag)
+    rows = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    for c, p in enumerate(parent):
+        if p != c:
+            rows[p][c], rows[c][p] = 1, s[_edge(p, c)]
+    for (i, j), _, path_j, pi in fundamental:
+        value = Fraction(pi)
+        for e in path_j:
+            value /= s[e]
+        rows[i][j] = normalize(value)
+        rows[j][i] = normalize(s[(i, j)] / value)
+    return rows
+
+
+def _verify(rows: list[list], w: list) -> None:
+    """Every C(n,3) triple first, then all 2^n minors through the lazy
+    kernel, which stops at the first mismatch."""
+    n = len(rows)
+    for ijk in combinations(range(n), 3):
+        enc = sum(1 << v for v in ijk)
+        value = det_exact([[rows[a][b] for b in ijk] for a in ijk])
+        if value != w[enc]:
+            raise NoConsistentSignsError("triple", enc, w[enc], value)
+    for enc, value in enumerate(all_principal_minors(rows, det_exact)):
+        if value != w[enc]:
+            raise MinorMismatchError(enc, w[enc], value)
+
+
+def reconstruct(z: MinorVector, mode: str = "exact") -> SymmetricMatrix:
     """Build a symmetric matrix whose principal minors are z / z_[0..0].
 
-    Diagonal entries come from the |I| = 1 coordinates, off-diagonal
-    magnitudes from |I| = 2, signs are gauge-fixed to be nonnegative on
-    a spanning forest of the nonzero-off-diagonal graph (the D A D
-    freedom) and the remaining 2^cycles patterns are filtered by the
-    |I| = 3 coordinates, then fully verified.
+    One candidate, no sign search and no square roots in the decision:
+    the diagonal comes from the |I| = 1 coordinates, each s_ij = a_ij^2
+    from |I| = 2, and the product of the a_e around each cycle of a
+    minimum cycle basis from that cycle's coordinate (`_solve_gauge`).
+    The D A D gauge is fixed by a nonnegative spanning forest of the
+    nonzero-off-diagonal graph.  When every s_e is a rational square that
+    gives the rational symmetric A; otherwise the rational B that is
+    diagonally similar to a complex symmetric one.  The candidate is
+    checked on every |I| = 3 coordinate and then on all 2^n.
 
-    Both modes divide z by z_[0..0] exactly, so z and every nonzero
-    multiple of it give the same matrix.  Exact mode then works over the
-    rationals.  Numeric mode works over complex floats and treats a
-    value as equal to an expected value b when they differ by at most
-    tol * max(1, |b|); tol must be finite and positive.
+    z and every nonzero multiple of it give the same matrix.  Exact mode
+    returns A, or raises NonSquareEntryError (carrying the verified B)
+    when no rational symmetric matrix exists.  Numeric mode makes the same
+    exact decision and writes the symmetric matrix in complex floats:
+    forest edges get a square root of s_e (rational when it exists), every
+    other edge its cycle product divided by its forest path.
     """
     if mode not in ("exact", "numeric"):
         raise ValueError(f"unknown mode {mode!r}")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     n, z0 = z.n, z[0]
     if z0 == 0:
         raise ZeroLeadingCoordinateError("leading coordinate z_[0..0] is zero")
     w = [normalize(Fraction(c) / z0) for c in z.coords]
-    if mode == "exact":
-        det, sqrt, close = det_exact, sqrt_exact, operator.eq
+    diag, s, parent, forest, fundamental = _solve_gauge(w, n)
+    roots = {e: sqrt_exact(s[e]) for e in forest}
+    non_square = next((e for e, root in roots.items() if root is None), None)
+    if non_square is None:
+        rows = _symmetric_rows(diag, roots, fundamental)
     else:
-        w = [complex(c) for c in w]
-        det, sqrt, close = (det_complex, cmath.sqrt,
-                            lambda a, b: abs(a - b) <= tol * max(1, abs(b)))
-    diag = [w[1 << i] for i in range(n)]
-    mag = {}
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            s = diag[i] * diag[j] - w[(1 << i) | (1 << j)]
-            if close(s, 0):
-                continue
-            root = sqrt(s)
-            if root is None:
-                raise NonSquareEntryError(i, j, s)
-            mag[(i, j)] = root
-            edges.append((i, j))
-    forest, cycles = _spanning_forest(n, edges)
-
-    triples = [
-        ((1 << i) | (1 << j) | (1 << k), (i, j, k))
-        for i, j, k in combinations(range(n), 3)
-    ]
-    first_full_mismatch: Optional[MinorMismatchError] = None
-    any_triple_survivor = False
-    for signs in product((1, -1), repeat=len(cycles)):
-        rows = [[0] * n for _ in range(n)]
-        for i in range(n):
-            rows[i][i] = diag[i]
-        for i, j in forest:
-            rows[i][j] = rows[j][i] = mag[(i, j)]
-        for (i, j), s in zip(cycles, signs):
-            rows[i][j] = rows[j][i] = s * mag[(i, j)]
-        for enc, ijk in triples:
-            if not close(det([[rows[a][b] for b in ijk] for a in ijk]), w[enc]):
-                break
-        else:
-            any_triple_survivor = True
-            mismatch = next((MinorMismatchError(enc, w[enc], value)
-                             for enc, value in enumerate(all_principal_minors(rows, det))
-                             if not close(value, w[enc])), None)
-            if mismatch is None:
-                if mode == "exact":
-                    return SymmetricMatrix.from_rows(rows)
-                return SymmetricMatrix(n, tuple(tuple(map(complex, r)) for r in rows))
-            if first_full_mismatch is None:
-                first_full_mismatch = mismatch
-    if any_triple_survivor:
-        raise first_full_mismatch
-    raise NoConsistentSignsError()
+        rows = _similar_rows(diag, s, parent, fundamental)
+    _verify(rows, w)
+    if mode == "exact":
+        if non_square is not None:
+            i, j = non_square
+            real = all(value > 0 for value in s.values())
+            raise NonSquareEntryError(i, j, s[non_square], real, rows)
+        return SymmetricMatrix.from_rows(rows)
+    try:
+        if non_square is not None:
+            rows = _symmetric_rows(diag, {e: cmath.sqrt(s[e]) if root is None else root
+                                          for e, root in roots.items()}, fundamental)
+        return SymmetricMatrix(n, tuple(tuple(complex(v) for v in row) for row in rows))
+    except OverflowError:
+        raise ValueError("numeric mode: an entry does not fit a complex float") from None
 
 
 # -- slice prefilter ---------------------------------------------------
@@ -269,8 +474,12 @@ def recursive_prefilter(z: MinorVector) -> bool:
 def is_member(z: MinorVector, method: str = "basis") -> MembershipReport:
     """Decide membership and attach a certificate.
 
-    n <= 2 vectors are members unconditionally (the map is surjective
-    there).  With method="reconstruct" and z_[0..0] = 0, z is first
+    With method="basis" or "prefilter", n <= 2 vectors are members
+    unconditionally (the map is surjective there); "reconstruct" treats
+    them like any other and attaches a certificate.  A member with no
+    rational symmetric realization gets a SymmetrizableCertificate.
+
+    With method="reconstruct" and z_[0..0] = 0, z is first
     moved into the open chart by J_I: the Weyl element J = [[0, 1],
     [-1, 0]] of SL(2) on every factor k with i_k = 1, where I is the
     first nonzero coordinate of z in encoding order, and the identity
@@ -284,15 +493,8 @@ def is_member(z: MinorVector, method: str = "basis") -> MembershipReport:
     if z.is_zero():
         raise ValueError("zero vector")
     n = z.n
-    if n <= 2:
-        certificate = None
-        if method == "reconstruct" and z[0] != 0:
-            try:
-                matrix = reconstruct(z, "exact")
-                certificate = MatrixCertificate(matrix, z[0])
-            except ReconstructionError:
-                certificate = None
-        return MembershipReport(n, VERDICT_MEMBER, method, certificate)
+    if n <= 2 and method != "reconstruct":
+        return MembershipReport(n, VERDICT_MEMBER, method)
     if method == "basis":
         basis = hd_basis(n)
         for index, entry in enumerate(basis.entries):
@@ -313,12 +515,15 @@ def is_member(z: MinorVector, method: str = "basis") -> MembershipReport:
         try:
             matrix = reconstruct(z, "exact")
         except NonSquareEntryError as err:
+            rows = tuple(map(tuple, err.rows))
             return MembershipReport(
-                n, VERDICT_INDETERMINATE, method,
-                NonSquareEntry(err.i, err.j, err.value), moves,
+                n, VERDICT_MEMBER, method, SymmetrizableCertificate(rows, z[0]), moves
             )
-        except NoConsistentSignsError:
-            return MembershipReport(n, VERDICT_NON_MEMBER, method, NoConsistentSigns(), moves)
+        except NoConsistentSignsError as err:
+            return MembershipReport(
+                n, VERDICT_NON_MEMBER, method,
+                NoConsistentSigns(err.check, err.encoding, err.expected, err.actual), moves,
+            )
         except MinorMismatchError as err:
             return MembershipReport(
                 n, VERDICT_NON_MEMBER, method,

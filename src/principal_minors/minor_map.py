@@ -30,9 +30,10 @@ def _principal_submatrix(rows: Sequence[Sequence], enc: int) -> list[list]:
 
 def all_principal_minors(rows: Sequence[Sequence], det: Callable) -> Iterator:
     """All 2^n principal minors of rows in encoding order, each taken
-    with det (`det_exact` for exact scalars, `det_complex` for the
-    numeric mode).  Lazy: a caller that stops at the first mismatch
-    takes no further determinants."""
+    with det (`det_exact` for exact scalars, `det_complex` to check a
+    matrix in complex floats).  rows need not be symmetric.  Lazy: a
+    caller that stops at the first mismatch takes no further
+    determinants."""
     return (det(_principal_submatrix(rows, enc)) for enc in range(1 << len(rows)))
 
 

@@ -151,7 +151,7 @@ def test_reconstruct_subcommand(tmp_path):
     assert minor_vector(back, 1) == minor_vector(a, 1)
 
 
-def test_reconstruct_exit_codes(tmp_path):
+def test_reconstruct_exit_codes(tmp_path, capsys):
     from principal_minors import MinorVector
 
     zfile, out = tmp_path / "z.json", tmp_path / "a.json"
@@ -164,30 +164,54 @@ def test_reconstruct_exit_codes(tmp_path):
 
     write_minors(zfile, MinorVector.from_values(2, [1, 1, 1, -1]))
     assert main(["reconstruct", "--in", str(zfile), "--out", str(out)]) == 3
+    assert "a real one does" in capsys.readouterr().err
+    assert not out.exists()
+    # the member is decided all the same, with the rational B as certificate
+    report = tmp_path / "r.json"
+    assert main(["check", "--in", str(zfile), "--method", "reconstruct",
+                 "--out", str(report)]) == 0
+    certificate = loads(report.read_text())["certificate"]
+    assert certificate == {"type": "symmetrizable-matrix", "rows": [["1/1", "1/1"],
+                                                                    ["2/1", "1/1"]],
+                           "scale": "1/1"}
 
     write_minors(zfile, MinorVector.unit(3, 7))
     assert main(["reconstruct", "--in", str(zfile), "--out", str(out)]) == 2
 
 
-def test_reconstruct_rejects_invalid_tol(tmp_path, capsys):
+def test_reconstruct_rejects_tol(tmp_path, capsys):
     from principal_minors import MinorVector
 
     zfile, out = tmp_path / "z.json", tmp_path / "a.json"
-    # non-member: a NaN tolerance must not let every comparison pass
+    # numeric mode decides exactly, so there is no tolerance to set
     write_minors(zfile, MinorVector.from_values(3, [1, 1, 1, 0, 1, 0, 0, 1]))
+    for tol in ("nan", "-1", "1e-9"):
+        with pytest.raises(SystemExit) as err:
+            main(["reconstruct", "--in", str(zfile), "--out", str(out),
+                  "--mode", "numeric", "--tol", tol])
+        assert err.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+        assert not out.exists()
     assert main(["reconstruct", "--in", str(zfile), "--out", str(out),
-                 "--mode", "numeric", "--tol", "nan"]) == 2
-    assert "tol" in capsys.readouterr().err
+                 "--mode", "numeric"]) == 1
     assert not out.exists()
-    # member: a negative tolerance must not make it a non-member
     write_minors(zfile, minor_vector(SymmetricMatrix.from_rows([[1, 1, 0], [1, 2, 1],
                                                                 [0, 1, 3]]), 1))
     assert main(["reconstruct", "--in", str(zfile), "--out", str(out),
-                 "--mode", "numeric", "--tol", "-1"]) == 2
-    assert "tol" in capsys.readouterr().err
-    assert not out.exists()
-    assert main(["reconstruct", "--in", str(zfile), "--out", str(out),
                  "--mode", "numeric"]) == 0
+
+
+def test_reconstruct_numeric_beyond_float_range_exits_2(tmp_path, capsys):
+    from principal_minors import MinorVector
+
+    zfile, out = tmp_path / "z.json", tmp_path / "a.json"
+    write_minors(zfile, MinorVector.from_values(3, [1, 10**400, 1, 0, 1, 0, 0, 0]))
+    assert main(["reconstruct", "--in", str(zfile), "--out", str(out),
+                 "--mode", "numeric"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
+    assert main(["reconstruct", "--in", str(zfile), "--out", str(out)]) == 0
 
 
 def test_check_prefilter_dense_n9(tmp_path):

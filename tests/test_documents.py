@@ -112,6 +112,7 @@ def test_report_round_trip_every_certificate_shape():
         is_member(bad, "reconstruct"),
         is_member(MinorVector.from_values(2, [1, 1, 1, -1]), "reconstruct"),
         is_member(complex_needing, "reconstruct"),
+        is_member(MinorVector.from_values(3, [1, 1, 1, 0, 1, 0, 0, 1]), "reconstruct"),
         is_member(prefilter_bad, "prefilter"),
     ]
     for report in reports:

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -22,13 +22,18 @@ from principal_minors.membership import (
     MatrixCertificate,
     MinorMismatch,
     MinorMismatchError,
+    NoConsistentSigns,
+    NoConsistentSignsError,
     NonSquareEntryError,
+    SymmetrizableCertificate,
     ZeroLeadingCoordinateError,
+    _spanning_forest,
 )
-from principal_minors.matrices import det_complex
+from principal_minors.matrices import det_complex, det_exact
 from principal_minors.minor_map import all_principal_minors
 from principal_minors.polynomials import GroupElement, act_point, evaluate
 from principal_minors.sampling import random_special_element, random_symmetric_matrix
+from principal_minors.scalars import normalize, sqrt_exact
 
 from conftest import laplace_det, symmetric_rows_strategy
 
@@ -82,6 +87,25 @@ def test_small_n_member_unconditionally():
     z2 = MinorVector.from_values(2, [1, 2, 3, 100])  # not minors of any real matrix? still member over C
     assert is_member(z2, "basis").verdict == "member"
     assert is_member(z2, "reconstruct").verdict == "member"
+
+
+def test_small_n_reconstruct_has_checkable_certificate():
+    # a_12^2 = 2: the certificate is the rational B, not a symmetric matrix
+    z = MinorVector.from_values(2, [1, 1, 1, -1])
+    report = is_member(z, "reconstruct")
+    assert (report.verdict, report.chart_moves) == ("member", 0)
+    assert isinstance(report.certificate, SymmetrizableCertificate)
+    assert_symmetrizable_certificate(z, report.certificate.rows, report.certificate.scale)
+    # z_[0..0] = 0 at n = 2 takes the chart move like any other size
+    for z in (MinorVector.from_values(2, [0, 1, 2, 0]), MinorVector.from_values(2, [0, 1, 1, 0]),
+              MinorVector.from_values(1, [0, 3])):
+        report = is_member(z, "reconstruct")
+        assert (report.verdict, report.chart_moves) == ("member", 1)
+        cert = report.certificate
+        rows = cert.rows if isinstance(cert, SymmetrizableCertificate) else cert.matrix.entries
+        assert_symmetrizable_certificate(weyl_moved(z), rows, cert.scale)
+    assert isinstance(is_member(MinorVector.from_values(2, [0, 1, 1, 0]), "reconstruct")
+                      .certificate, MatrixCertificate)
 
 
 def test_unknown_method_rejected():
@@ -147,13 +171,13 @@ def test_method_agreement_on_mixed_inputs():
                 assert verdict_basis == "member"
 
 
-def test_low_order_perturbations_basis_rejects_reconstruct_may_abstain():
+def test_low_order_perturbations_basis_and_reconstruct_agree():
     rng = random.Random(32)
     a = random_symmetric_matrix(4, rng, nonzero_offdiag=True)
     z = minor_vector(a, 1)
     probe = perturb(z, (1 << 0) | (1 << 1))  # an |I| = 2 coordinate
     assert is_member(probe, "basis").verdict == "non-member"
-    assert is_member(probe, "reconstruct").verdict in ("non-member", "indeterminate")
+    assert is_member(probe, "reconstruct").verdict == "non-member"
 
 
 def test_group_invariance_of_verdicts():
@@ -345,10 +369,19 @@ def test_reconstruct_zero_leading_coordinate():
 
 
 def test_reconstruct_non_square_entry():
-    # diag (1, 1) with pair coordinate -1 forces a_12^2 = 2
+    # diag (1, 1) with pair coordinate -1 forces a_12^2 = 2: a real
+    # symmetric matrix, but no rational one
     z = MinorVector.from_values(2, [1, 1, 1, -1])
-    with pytest.raises(NonSquareEntryError):
+    with pytest.raises(NonSquareEntryError) as err:
         reconstruct(z, "exact")
+    assert (err.value.i, err.value.j, err.value.value, err.value.real) == (0, 1, 2, True)
+    assert "a real one does" in str(err.value)
+    assert_symmetrizable_certificate(z, err.value.rows, 1)
+    # a_12^2 = -2: not even a real one
+    z = MinorVector.from_values(2, [1, 1, 1, 3])
+    with pytest.raises(NonSquareEntryError) as err:
+        reconstruct(z, "exact")
+    assert not err.value.real
 
 
 def test_reconstruct_scales_leading_coordinate():
@@ -363,7 +396,7 @@ def test_reconstruct_numeric_complex_entries():
     z = MinorVector.from_values(3, [1, 1, 1, 2, 1, 1, 1, 2])
     with pytest.raises(NonSquareEntryError):
         reconstruct(z, "exact")
-    b = reconstruct(z, "numeric", tol=1e-9)
+    b = reconstruct(z, "numeric")
     minors = all_principal_minors(b.entries, det_complex)
     for got, want in zip(minors, z.coords):
         assert abs(got - complex(want)) < 1e-8
@@ -373,7 +406,7 @@ def test_reconstruct_numeric_round_trip():
     rng = random.Random(38)
     a = random_symmetric_matrix(4, rng)
     z = minor_vector(a, 1)
-    b = reconstruct(z, "numeric", tol=1e-9)
+    b = reconstruct(z, "numeric")
     minors = all_principal_minors(b.entries, det_complex)
     for got, want in zip(minors, z.coords):
         assert abs(got - complex(want)) < 1e-7
@@ -385,7 +418,7 @@ def test_reconstruct_numeric_tolerance_is_relative():
     rng = random.Random(2)
     for _ in range(5):
         z = minor_vector(random_symmetric_matrix(7, rng), 1)
-        b = reconstruct(z, "numeric", tol=1e-9)
+        b = reconstruct(z, "numeric")
         minors = all_principal_minors(b.entries, det_complex)
         for got, want in zip(minors, z.coords):
             assert abs(got - want) <= 1e-9 * max(1, abs(want))
@@ -405,17 +438,311 @@ def test_reconstruct_numeric_is_projective():
             assert abs(got - want) <= 1e-9 * max(1, abs(want))
 
 
-def test_reconstruct_rejects_invalid_tol():
-    z = minor_vector(TRIDIAGONAL, 1)
-    for mode in ("exact", "numeric"):
-        for tol in (float("nan"), float("inf"), 0.0, -1.0):
-            with pytest.raises(ValueError, match="tol"):
-                reconstruct(z, mode, tol=tol)
-
-
 def test_reconstruct_bad_mode():
     with pytest.raises(ValueError):
         reconstruct(MinorVector.unit(2, 0), "fuzzy")
+
+
+# -- the rational gauge solve against the earlier sign search ---------------
+
+def reference_reconstruct(z: MinorVector):
+    """The earlier exact reconstruction: make a spanning forest of the
+    nonzero graph nonnegative, try all 2^cycles sign patterns on the other
+    edges, keep those that fit every |I| = 3 coordinate and verify all 2^n
+    minors.  Returns ("member", matrix), ("non-square", None),
+    ("no-consistent-signs", None) or ("minor-mismatch", (encoding,
+    expected, actual)) for the first survivor's first mismatch."""
+    n, z0 = z.n, z[0]
+    w = [normalize(Fraction(c) / z0) for c in z.coords]
+    diag = [w[1 << i] for i in range(n)]
+    mag, edges = {}, []
+    for i in range(n):
+        for j in range(i + 1, n):
+            s = diag[i] * diag[j] - w[(1 << i) | (1 << j)]
+            if s == 0:
+                continue
+            root = sqrt_exact(s)
+            if root is None:
+                return "non-square", None
+            mag[(i, j)] = root
+            edges.append((i, j))
+    forest, cycles = _spanning_forest(n, edges)
+    triples = [((1 << i) | (1 << j) | (1 << k), (i, j, k))
+               for i, j, k in combinations(range(n), 3)]
+    first_full_mismatch = None
+    for signs in product((1, -1), repeat=len(cycles)):
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = diag[i]
+        for i, j in forest:
+            rows[i][j] = rows[j][i] = mag[(i, j)]
+        for (i, j), s in zip(cycles, signs):
+            rows[i][j] = rows[j][i] = s * mag[(i, j)]
+        for enc, ijk in triples:
+            if det_exact([[rows[a][b] for b in ijk] for a in ijk]) != w[enc]:
+                break
+        else:
+            mismatch = next(((enc, w[enc], value)
+                             for enc, value in enumerate(all_principal_minors(rows, det_exact))
+                             if value != w[enc]), None)
+            if mismatch is None:
+                return "member", SymmetricMatrix.from_rows(rows)
+            if first_full_mismatch is None:
+                first_full_mismatch = mismatch
+    if first_full_mismatch is not None:
+        return "minor-mismatch", first_full_mismatch
+    return "no-consistent-signs", None
+
+
+def gauge_reconstruct(z: MinorVector):
+    """reconstruct(z, "exact") in the shape of reference_reconstruct."""
+    try:
+        return "member", reconstruct(z, "exact")
+    except NonSquareEntryError:
+        return "non-square", None
+    except NoConsistentSignsError:
+        return "no-consistent-signs", None
+    except MinorMismatchError as err:
+        return "minor-mismatch", (err.encoding, err.expected, err.actual)
+
+
+def principal_minors_of(rows) -> list:
+    n = len(rows)
+    return [laplace_det([[rows[i][j] for j in range(n) if enc >> j & 1]
+                         for i in range(n) if enc >> i & 1]) for enc in range(1 << n)]
+
+
+def normalized(z: MinorVector) -> list:
+    return [Fraction(c) / z[0] for c in z.coords]
+
+
+def s_value(w: list, i: int, j: int):
+    return w[1 << i] * w[1 << j] - w[(1 << i) | (1 << j)]
+
+
+def assert_symmetrizable_certificate(z: MinorVector, rows, scale):
+    """What a reader checks from z alone: rows reproduces z, has a
+    symmetric zero pattern with b_ij b_ji = s_ij, and is diagonally
+    similar to a symmetric matrix: q_i b_ij = q_j b_ji for some nonzero
+    rational q (then D = diag(sqrt(q)) symmetrizes it), which holds
+    exactly when forward and backward products agree on every cycle."""
+    n = z.n
+    assert [scale * m for m in principal_minors_of(rows)] == list(z.coords)
+    w = normalized(z)
+    q = [None] * n
+    for root in range(n):
+        if q[root] is not None:
+            continue
+        q[root], queue = Fraction(1), [root]
+        for i in queue:
+            for j in range(n):
+                if j != i and rows[i][j] != 0 and q[j] is None:
+                    q[j] = q[i] * rows[i][j] / rows[j][i]
+                    queue.append(j)
+    for i, j in combinations(range(n), 2):
+        assert (rows[i][j] == 0) == (rows[j][i] == 0)
+        assert rows[i][j] * rows[j][i] == s_value(w, i, j)
+        assert q[i] * rows[i][j] == q[j] * rows[j][i]
+
+
+def assert_cycle_certificate(z: MinorVector, cert: NoConsistentSigns):
+    """Recompute a "cycle" certificate from z: its vertex set induces one
+    cycle, expected is the product of its s_e and actual is the square of
+    the cycle product read off z's coordinate at that vertex set."""
+    assert cert.check == "cycle"
+    w = normalized(z)
+    vertices = [v for v in range(z.n) if cert.encoding >> v & 1]
+    edges = [(i, j) for i, j in combinations(vertices, 2) if s_value(w, i, j) != 0]
+    assert len(edges) == len(vertices)
+    cycle = [vertices[0]]
+    while len(cycle) < len(vertices):
+        cycle.append(next(j for e in edges for i, j in (e, e[::-1])
+                          if i == cycle[-1] and j not in cycle))
+    m = len(cycle)
+    b0 = [[0] * m for _ in range(m)]
+    squares = 1
+    for k, v in enumerate(cycle):
+        nxt = (k + 1) % m
+        s = s_value(w, v, cycle[nxt])
+        assert s != 0
+        b0[k][k], b0[k][nxt], b0[nxt][k] = w[1 << v], 1, s
+        squares *= s
+    pi = ((-1) ** (m + 1) * (w[cert.encoding] - laplace_det(b0)) + 1 + squares) / 2
+    assert (cert.expected, cert.actual) == (squares, pi * pi)
+    assert cert.expected != cert.actual
+
+
+def matrix_on_graph(n: int, edges, rng) -> SymmetricMatrix:
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = rng.randint(-5, 5)
+    for i, j in edges:
+        rows[i][j] = rows[j][i] = rng.choice((-1, 1)) * rng.randint(1, 5)
+    return SymmetricMatrix.from_rows(rows)
+
+
+def sparse_matrix(n: int, extra: int, rng) -> SymmetricMatrix:
+    """A random spanning tree plus `extra` random edges."""
+    edges = {(rng.randrange(k), k) for k in range(1, n)}
+    others = [e for e in combinations(range(n), 2) if e not in edges]
+    edges.update(rng.sample(others, min(extra, len(others))))
+    return matrix_on_graph(n, sorted(edges), rng)
+
+
+def test_gauge_solve_matches_sign_search():
+    rng = random.Random(45)
+    for n in range(3, 9):
+        matrices = [sparse_matrix(n, extra, rng) for extra in (0, 1, 2, 3, 4)]
+        if n <= 7:  # the sign search takes 2^21 patterns on a dense 8x8
+            matrices.append(random_symmetric_matrix(n, rng, nonzero_offdiag=True))
+        for a in matrices:
+            dense = all(a[i, j] != 0 for i, j in combinations(range(n), 2))
+            z = minor_vector(a, 1)
+            full = (1 << n) - 1
+            triple = sum(1 << v for v in rng.sample(range(n), 3))
+            probes = [z, perturb(z, full, rng.choice((1, -3, 5))),
+                      perturb(z, triple, rng.choice((1, -3, 5))),
+                      perturb(z, rng.randrange(1, full), rng.choice((1, -1, 2)))]
+            for probe in probes:
+                want, got = reference_reconstruct(probe), gauge_reconstruct(probe)
+                report = is_member(probe, "reconstruct")
+                assert report.verdict != "indeterminate"
+                cert = report.certificate
+                if isinstance(cert, NoConsistentSigns) and cert.check == "cycle":
+                    assert_cycle_certificate(probe, cert)
+                if want[0] == "non-square":
+                    assert got[0] != "member"
+                    if got[0] == "non-square":
+                        assert report.verdict == "member"
+                        assert_symmetrizable_certificate(probe, cert.rows, cert.scale)
+                    continue
+                if want[0] == "member" or dense:
+                    assert got == want, (a, probe)
+                elif want[0] == "minor-mismatch":
+                    # one candidate: its own first mismatch, or a basis
+                    # cycle of length >= 4 that the triples never see
+                    assert got[0] in ("minor-mismatch", "no-consistent-signs"), (a, probe)
+                else:
+                    assert got == want, (a, probe)
+                assert report.verdict == ("member" if want[0] == "member" else "non-member")
+
+
+def test_gauge_solve_dense_n8():
+    # the sign search would take 2^21 patterns; its answers follow from
+    # the one matrix with these minors that is nonnegative on the forest
+    # (the star at vertex 1 on a complete graph)
+    rng = random.Random(46)
+    a = random_symmetric_matrix(8, rng, nonzero_offdiag=True)
+    z = minor_vector(a, 1)
+    b = reconstruct(z, "exact")
+    assert _is_sign_conjugate(a, b) and all(b[0, j] > 0 for j in range(1, 8))
+    with pytest.raises(MinorMismatchError) as err:
+        reconstruct(perturb(z, 255, 3), "exact")
+    assert (err.value.encoding, err.value.expected, err.value.actual) == (255, z[255] + 3, z[255])
+    with pytest.raises(NoConsistentSignsError):
+        reconstruct(perturb(z, 0b1011000, 3), "exact")
+
+
+# vertex count and edges of graphs whose cycles are not all triangles
+GRAPH_FAMILIES = [
+    (4, [(0, 1), (1, 2), (2, 3), (0, 3)]),                             # chordless 4-cycle
+    (5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),                     # chordless 5-cycle
+    (6, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (4, 5)]),             # 4-cycle with a tail
+    (6, [(0, 1), (1, 2), (2, 3), (0, 3), (2, 4), (4, 5), (3, 5)]),     # two 4-cycles, one edge shared
+    (7, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (4, 5), (5, 6), (4, 6)]),  # cut vertex 5
+    (8, [(0, 2), (2, 4), (4, 6), (0, 6), (1, 3), (3, 5), (1, 5)]),     # disconnected, vertex 8 isolated
+    (8, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 7)]),  # triangle, bridge, 5-cycle
+]
+
+
+def chordless_cycles(n: int, edges) -> list[int]:
+    """Vertex sets (as encodings) of the chordless cycles of length >= 4."""
+    found = []
+    for size in range(4, n + 1):
+        for vertices in combinations(range(n), size):
+            inside = [e for e in edges if e[0] in vertices and e[1] in vertices]
+            if len(inside) != size or any(sum(v in e for e in inside) != 2 for v in vertices):
+                continue
+            # every degree is 2: one cycle, or several disjoint ones
+            seen = [vertices[0]]
+            for x in seen:
+                seen += [e[0] + e[1] - x for e in inside
+                         if x in e and e[0] + e[1] - x not in seen]
+            if len(seen) == size:
+                found.append(sum(1 << v for v in vertices))
+    return found
+
+
+def test_gauge_solve_on_sparse_cycles_cut_vertices_and_components():
+    rng = random.Random(47)
+    for n, edges in GRAPH_FAMILIES:
+        a = matrix_on_graph(n, edges, rng)
+        z = minor_vector(a, 1)
+        b = reconstruct(z, "exact")
+        assert minor_vector(b, 1) == z and _is_sign_conjugate(a, b)
+        assert reference_reconstruct(z) == ("member", b)
+        q = [2, 3, -1, 5, 7, 6, Fraction(1, 2), 10][:n]
+        report = is_member(dmd_minors(a, q), "reconstruct")
+        assert report.verdict == "member"
+        assert_symmetrizable_certificate(dmd_minors(a, q), report.certificate.rows,
+                                         report.certificate.scale)
+        cycles = chordless_cycles(n, edges)
+        assert cycles
+        for enc in cycles:
+            probe = perturb(z, enc, rng.choice((1, -3)))
+            report = is_member(probe, "reconstruct")
+            assert report.verdict == "non-member"
+            assert report.certificate.encoding == enc
+            assert_cycle_certificate(probe, report.certificate)
+            # the sign search never looks at a cycle beyond the triples
+            assert reference_reconstruct(probe)[0] == "minor-mismatch"
+
+
+def dmd_minors(m: SymmetricMatrix, q) -> MinorVector:
+    """Minors of D M D with D = diag(sqrt(q)): det(M_I) * prod_(i in I) q_i."""
+    coords = []
+    for enc, value in enumerate(minor_vector(m, 1).coords):
+        for i in range(m.n):
+            if enc >> i & 1:
+                value *= q[i]
+        coords.append(value)
+    return MinorVector.from_values(m.n, coords)
+
+
+def test_dmd_members_are_decided():
+    rng = random.Random(48)
+    q = (2, 3, -1, 5, 7, Fraction(1, 3), 6, -2)
+    for n in range(4, 9):
+        m = random_symmetric_matrix(n, rng, nonzero_offdiag=True)
+        z = dmd_minors(m, q[:n])
+        report = is_member(z, "reconstruct")
+        assert report.verdict == "member"
+        assert isinstance(report.certificate, SymmetrizableCertificate)
+        assert_symmetrizable_certificate(z, report.certificate.rows, report.certificate.scale)
+        with pytest.raises(NonSquareEntryError) as err:
+            reconstruct(z, "exact")
+        assert not err.value.real  # a_13^2 = 2 * (-1) * m_13^2 < 0
+        b = reconstruct(z, "numeric")
+        for got, want in zip(all_principal_minors(b.entries, det_complex), normalized(z)):
+            assert abs(got - complex(want)) <= 1e-9 * max(1, abs(want))
+        # positive q: a real symmetric matrix, still no rational one
+        with pytest.raises(NonSquareEntryError) as err:
+            reconstruct(dmd_minors(m, [abs(v) for v in q[:n]]), "exact")
+        assert err.value.real
+
+
+def test_dmd_basis_and_reconstruct_agree():
+    rng = random.Random(49)
+    for n in (3, 4, 5, 5, 6):
+        m = random_symmetric_matrix(n, rng, nonzero_offdiag=True)
+        z = dmd_minors(m, [rng.choice((2, 3, -1, 5, Fraction(1, 2))) for _ in range(n)])
+        pairs = [(1 << i) | (1 << j) for i, j in combinations(range(n), 2)]
+        probes = [z, perturb(z, rng.choice(pairs)), perturb(z, rng.choice(pairs), -2),
+                  perturb(z, (1 << n) - 1), perturb(z, 0b111, 3)]
+        for probe in probes:
+            verdict = is_member(probe, "reconstruct").verdict
+            assert verdict == is_member(probe, "basis").verdict
+            assert verdict == ("member" if probe is z else "non-member")
 
 
 # -- sign-flip profile ----------------------------------------------------
