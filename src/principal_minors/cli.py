@@ -27,6 +27,7 @@ from .membership import (
     NonSquareEntryError,
     ZeroLeadingCoordinateError,
     is_member,
+    reconstruct,
     sign_flip_profile,
 )
 from .minor_map import minor_vector
@@ -38,7 +39,6 @@ from .rep_theory import (
     lower_to_lowest,
     sl2_dim,
 )
-from .membership import reconstruct
 from .sampling import random_symmetric_matrix
 from .scalars import as_scalar, scalar_str
 
@@ -51,7 +51,10 @@ def _read_document(path: str) -> dict:
 
 
 def _write_document(path: str, obj: dict):
-    Path(path).write_text(documents.dumps(obj))
+    try:
+        Path(path).write_text(documents.dumps(obj))
+    except OSError as err:
+        raise DocumentError(f"cannot write {path}: {err}") from err
 
 
 def _cmd_minors(args) -> int:
@@ -157,7 +160,6 @@ def _cmd_experiment_sign_flip(args) -> int:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     rng = random.Random(args.seed)
     full = 1 << args.n
-    exit_code = EXIT_MEMBER
     for trial in range(args.trials):
         matrix = random_symmetric_matrix(args.n, rng, nonzero_offdiag=True)
         profile = sign_flip_profile(matrix)
@@ -172,7 +174,7 @@ def _cmd_experiment_sign_flip(args) -> int:
             f" almost agreement {full - 1}:"
             f" {'PRESENT' if doc['has_almost_agreement'] else 'absent'}"
         )
-    return exit_code
+    return EXIT_MEMBER
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -241,9 +243,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DocumentError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,19 +1,24 @@
 """Versioned structured-text documents for every CLI input and output.
 
-All documents are JSON objects with "kind" and "schema_version" fields.
-Exact rationals are serialized as reduced "p/q" strings with q > 0;
-minor vectors carry the explicit "order": "lsb-factor-1" marker (factor
-1 = least significant bit of the coordinate position).  Serialization
-is canonical (sorted keys, fixed separators) so identical data yields
-byte-identical files.
+All documents are JSON objects with "kind" and "schema_version" fields,
+serialized canonically (sorted keys, fixed separators) so identical data
+yields byte-identical files.  Each value kind has one writer and one
+reader.  Integers are JSON integers with a lower bound (n >= 1;
+encodings, exponents and chart_moves >= 0).  Rationals are written as
+reduced "p/q" strings with q > 0 and read from such strings or JSON
+integers; booleans and floats are rejected for both.  Minor vectors
+carry the explicit "order": "lsb-factor-1" marker (factor 1 = least
+significant bit of the coordinate position).  A certificate is "type"
+plus one key per field of its dataclass in membership.py.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import fields
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
 from .hyperdet import BasisEntry, ModuleBasis
 from .indices import MinorVector
@@ -29,7 +34,7 @@ from .membership import (
     SymmetrizableCertificate,
 )
 from .polynomials import TensorPolynomial
-from .scalars import Scalar, normalize, scalar_str
+from .scalars import Scalar, as_scalar, scalar_str
 
 SCHEMA_VERSION = 1
 MINOR_ORDER = "lsb-factor-1"
@@ -39,19 +44,40 @@ class DocumentError(ValueError):
     pass
 
 
-def _scalar_out(value: Scalar) -> str:
-    return scalar_str(value)
+def _int_in(value: Any, what: str, low: int | None = None) -> int:
+    if type(value) is not int:
+        raise DocumentError(f"{what} must be a JSON integer, got {value!r}")
+    if low is not None and value < low:
+        raise DocumentError(f"{what} must be at least {low}, got {value}")
+    return value
 
 
-def _scalar_in(text: Any) -> Scalar:
-    if isinstance(text, str):
-        try:
-            return normalize(Fraction(text))
-        except (ValueError, ZeroDivisionError) as err:
-            raise DocumentError(f"bad rational {text!r}: {err}") from err
-    if isinstance(text, int):
-        return text
-    raise DocumentError(f"expected a rational string, got {text!r}")
+def _str_in(value: Any, what: str) -> str:
+    if not isinstance(value, str):
+        raise DocumentError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _scalar_in(value: Any) -> Scalar:
+    if not isinstance(value, (int, str)):
+        raise DocumentError(f"expected a rational string, got {value!r}")
+    try:
+        return as_scalar(value)
+    except (TypeError, ValueError) as err:
+        raise DocumentError(f"bad rational {value!r}: {err}") from err
+
+
+def _complex_in(value: Any) -> complex:
+    if (not isinstance(value, list) or len(value) != 2
+            or any(type(part) not in (int, float) for part in value)):
+        raise DocumentError(f"expected a [real, imag] pair, got {value!r}")
+    return complex(*value)
+
+
+def _rows_in(rows: Any, read: Callable) -> tuple[tuple, ...]:
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise DocumentError(f"expected a list of rows, got {rows!r}")
+    return tuple(tuple(read(v) for v in row) for row in rows)
 
 
 def dumps(obj: dict) -> str:
@@ -68,52 +94,42 @@ def loads(text: str) -> dict:
     return obj
 
 
-def _expect(obj: dict, kind: str) -> dict:
+def _expect(obj: Any, kind: str) -> dict:
+    if not isinstance(obj, dict):
+        raise DocumentError(f"expected a {kind} document, got {obj!r}")
     if obj.get("kind") != kind:
         raise DocumentError(f"expected kind={kind!r}, got {obj.get('kind')!r}")
-    if obj.get("schema_version") != SCHEMA_VERSION:
-        raise DocumentError(f"unsupported schema_version {obj.get('schema_version')!r}")
+    version = obj.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise DocumentError(f"unsupported schema_version {version!r}")
     return obj
 
 
 # -- matrix ------------------------------------------------------------
 
 def matrix_document(matrix: SymmetricMatrix) -> dict:
-    if all(isinstance(v, (int, Fraction)) for row in matrix.entries for v in row):
-        entries = [[_scalar_out(v) for v in row] for row in matrix.entries]
-        return {
-            "kind": "matrix",
-            "schema_version": SCHEMA_VERSION,
-            "n": matrix.n,
-            "scalar_type": "rational",
-            "entries": entries,
-        }
-    entries = [[[complex(v).real, complex(v).imag] for v in row] for row in matrix.entries]
+    rational = all(isinstance(v, (int, Fraction)) for row in matrix.entries for v in row)
+    write = scalar_str if rational else (lambda v: [complex(v).real, complex(v).imag])
     return {
         "kind": "matrix",
         "schema_version": SCHEMA_VERSION,
         "n": matrix.n,
-        "scalar_type": "complex",
-        "entries": entries,
+        "scalar_type": "rational" if rational else "complex",
+        "entries": [[write(v) for v in row] for row in matrix.entries],
     }
 
 
 def parse_matrix_document(obj: dict) -> SymmetricMatrix:
     obj = _expect(obj, "matrix")
-    n = obj.get("n")
-    entries = obj.get("entries")
-    if not isinstance(n, int) or not isinstance(entries, list) or len(entries) != n:
-        raise DocumentError("matrix document needs integer n and an n x n entries grid")
+    n = _int_in(obj.get("n"), "n", 1)
     scalar_type = obj.get("scalar_type", "rational")
+    read = {"rational": _scalar_in, "complex": _complex_in}.get(
+        _str_in(scalar_type, "scalar_type"))
+    if read is None:
+        raise DocumentError(f"unknown scalar_type {scalar_type!r}")
     try:
-        if scalar_type == "rational":
-            rows = [[_scalar_in(v) for v in row] for row in entries]
-        elif scalar_type == "complex":
-            rows = [[complex(v[0], v[1]) for v in row] for row in entries]
-        else:
-            raise DocumentError(f"unknown scalar_type {scalar_type!r}")
-        return SymmetricMatrix(n, tuple(tuple(r) for r in rows))
-    except (ValueError, TypeError, IndexError) as err:
+        return SymmetricMatrix(n, _rows_in(obj.get("entries"), read))
+    except (ValueError, TypeError, OverflowError) as err:
         raise DocumentError(f"bad matrix document: {err}") from err
 
 
@@ -125,7 +141,7 @@ def minors_document(z: MinorVector) -> dict:
         "schema_version": SCHEMA_VERSION,
         "n": z.n,
         "order": MINOR_ORDER,
-        "coords": [_scalar_out(c) for c in z.coords],
+        "coords": [scalar_str(c) for c in z.coords],
     }
 
 
@@ -133,10 +149,12 @@ def parse_minors_document(obj: dict) -> MinorVector:
     obj = _expect(obj, "minors")
     if obj.get("order") != MINOR_ORDER:
         raise DocumentError(f"unsupported coordinate order {obj.get('order')!r}")
-    n = obj.get("n")
+    n = _int_in(obj.get("n"), "n", 1)
     coords = obj.get("coords")
-    if not isinstance(n, int) or not isinstance(coords, list) or len(coords) != (1 << n):
-        raise DocumentError("minors document needs integer n and 2^n coords")
+    # compare bit lengths first, so a huge n never builds 1 << n
+    if (not isinstance(coords, list) or len(coords).bit_length() != n + 1
+            or len(coords) != 1 << n):
+        raise DocumentError("minors document needs 2^n coords")
     return MinorVector(n, tuple(_scalar_in(c) for c in coords))
 
 
@@ -144,7 +162,7 @@ def parse_minors_document(obj: dict) -> MinorVector:
 
 def polynomial_document(poly: TensorPolynomial) -> dict:
     terms = [
-        {"monomial": [[enc, exp] for enc, exp in pairs], "coeff": _scalar_out(coeff)}
+        {"monomial": [[enc, exp] for enc, exp in pairs], "coeff": scalar_str(coeff)}
         for pairs, coeff in poly.terms()
     ]
     return {
@@ -157,13 +175,14 @@ def polynomial_document(poly: TensorPolynomial) -> dict:
 
 def parse_polynomial_document(obj: dict) -> TensorPolynomial:
     obj = _expect(obj, "polynomial")
-    n = obj.get("n")
+    n = _int_in(obj.get("n"), "n", 1)
     terms = obj.get("terms")
-    if not isinstance(n, int) or not isinstance(terms, list):
-        raise DocumentError("polynomial document needs integer n and a terms list")
+    if not isinstance(terms, list):
+        raise DocumentError("polynomial document needs a terms list")
     try:
         parsed = [
-            (tuple((int(enc), int(exp)) for enc, exp in term["monomial"]),
+            (tuple((_int_in(enc, "encoding", 0), _int_in(exp, "exponent", 0))
+                   for enc, exp in term["monomial"]),
              _scalar_in(term["coeff"]))
             for term in terms
         ]
@@ -204,17 +223,17 @@ def basis_document(basis: ModuleBasis) -> dict:
 
 def parse_basis_document(obj: dict) -> ModuleBasis:
     obj = _expect(obj, "basis")
-    n = obj.get("n")
+    n = _int_in(obj.get("n"), "n", 1)
     entries = obj.get("entries")
-    if not isinstance(n, int) or not isinstance(entries, list):
-        raise DocumentError("basis document needs integer n and an entries list")
+    if not isinstance(entries, list):
+        raise DocumentError("basis document needs an entries list")
     try:
         parsed = tuple(
             BasisEntry(
-                tuple(entry["triple"]),
-                tuple(entry["exponents"]),
+                tuple(_int_in(k, "triple factor", 1) for k in entry["triple"]),
+                tuple(_int_in(e, "exponent", 0) for e in entry["exponents"]),
                 parse_polynomial_document(entry["polynomial"]),
-                tuple(entry["weight"]),
+                tuple(_int_in(w, "weight") for w in entry["weight"]),
             )
             for entry in entries
         )
@@ -229,50 +248,42 @@ def parse_basis_document(obj: dict) -> ModuleBasis:
 
 # -- report ------------------------------------------------------------
 
+# Certificate type name -> dataclass.  The one table a report reader
+# dispatches on.
+CERTIFICATES = {
+    "basis-violation": BasisViolation,
+    "matrix": MatrixCertificate,
+    "minor-mismatch": MinorMismatch,
+    "symmetrizable-matrix": SymmetrizableCertificate,
+    "no-consistent-signs": NoConsistentSigns,
+    "prefilter-violation": PrefilterViolation,
+}
+_CERTIFICATE_NAMES = {cls: name for name, cls in CERTIFICATES.items()}
+
+# Field annotation -> (writer, reader) for one certificate field.
+# membership.py postpones annotations, so Field.type is the annotation's
+# source text.  matrix_document and parse_matrix_document are looked up
+# at call time, so a caller that rebinds them sees every call.
+_FIELD_CODECS: dict[str, tuple[Callable, Callable]] = {
+    "int": (int, lambda v: _int_in(v, "certificate integer", 0)),
+    "str": (str, lambda v: _str_in(v, "certificate string")),
+    "Scalar": (scalar_str, _scalar_in),
+    "SymmetricMatrix": (lambda m: matrix_document(m), lambda v: parse_matrix_document(v)),
+    "tuple[tuple[Scalar, ...], ...]": (lambda rows: [[scalar_str(v) for v in row] for row in rows],
+                                       lambda v: _rows_in(v, _scalar_in)),
+}
+
+
 def _certificate_payload(certificate) -> dict | None:
     if certificate is None:
         return None
-    if isinstance(certificate, BasisViolation):
-        return {
-            "type": "basis-violation",
-            "entry_index": certificate.entry_index,
-            "value": _scalar_out(certificate.value),
-        }
-    if isinstance(certificate, MatrixCertificate):
-        return {
-            "type": "matrix",
-            "matrix": matrix_document(certificate.matrix),
-            "scale": _scalar_out(certificate.scale),
-        }
-    if isinstance(certificate, MinorMismatch):
-        expected, actual = certificate.expected, certificate.actual
-        if isinstance(expected, complex) or isinstance(actual, complex):
-            expected, actual = str(expected), str(actual)
-        else:
-            expected, actual = _scalar_out(expected), _scalar_out(actual)
-        return {
-            "type": "minor-mismatch",
-            "encoding": certificate.encoding,
-            "expected": expected,
-            "actual": actual,
-        }
-    if isinstance(certificate, SymmetrizableCertificate):
-        return {
-            "type": "symmetrizable-matrix",
-            "rows": [[_scalar_out(v) for v in row] for row in certificate.rows],
-            "scale": _scalar_out(certificate.scale),
-        }
-    if isinstance(certificate, NoConsistentSigns):
-        return {
-            "type": "no-consistent-signs",
-            "check": certificate.check,
-            "encoding": certificate.encoding,
-            "expected": _scalar_out(certificate.expected),
-            "actual": _scalar_out(certificate.actual),
-        }
-    if isinstance(certificate, PrefilterViolation):
-        return {"type": "prefilter-violation", "value": _scalar_out(certificate.value)}
-    raise DocumentError(f"unknown certificate {certificate!r}")
+    name = _CERTIFICATE_NAMES.get(type(certificate))
+    if name is None:
+        raise DocumentError(f"unknown certificate {certificate!r}")
+    payload = {"type": name}
+    for field in fields(certificate):
+        payload[field.name] = _FIELD_CODECS[field.type][0](getattr(certificate, field.name))
+    return payload
 
 
 def report_document(report: MembershipReport) -> dict:
@@ -287,52 +298,32 @@ def report_document(report: MembershipReport) -> dict:
     }
 
 
-def _parse_certificate(payload):
+def _parse_certificate(payload: Any):
     if payload is None:
         return None
-    kind = payload.get("type")
+    if not isinstance(payload, dict):
+        raise DocumentError(f"certificate must be an object, got {payload!r}")
+    cls = CERTIFICATES.get(_str_in(payload.get("type"), "certificate type"))
+    if cls is None:
+        raise DocumentError(f"unknown certificate type {payload.get('type')!r}")
     try:
-        if kind == "basis-violation":
-            return BasisViolation(int(payload["entry_index"]), _scalar_in(payload["value"]))
-        if kind == "matrix":
-            return MatrixCertificate(
-                parse_matrix_document(payload["matrix"]), _scalar_in(payload["scale"])
-            )
-        if kind == "minor-mismatch":
-            expected, actual = payload["expected"], payload["actual"]
-            if not (isinstance(expected, str) and "j" in expected):
-                expected, actual = _scalar_in(expected), _scalar_in(actual)
-            else:
-                expected, actual = complex(expected), complex(actual)
-            return MinorMismatch(int(payload["encoding"]), expected, actual)
-        if kind == "symmetrizable-matrix":
-            rows = tuple(tuple(_scalar_in(v) for v in row) for row in payload["rows"])
-            return SymmetrizableCertificate(rows, _scalar_in(payload["scale"]))
-        if kind == "no-consistent-signs":
-            return NoConsistentSigns(payload["check"], int(payload["encoding"]),
-                                     _scalar_in(payload["expected"]),
-                                     _scalar_in(payload["actual"]))
-        if kind == "prefilter-violation":
-            return PrefilterViolation(_scalar_in(payload["value"]))
+        return cls(*(_FIELD_CODECS[field.type][1](payload[field.name])
+                     for field in fields(cls)))
     except (KeyError, TypeError, ValueError) as err:
         raise DocumentError(f"bad certificate payload: {err}") from err
-    raise DocumentError(f"unknown certificate type {kind!r}")
 
 
 def parse_report_document(obj: dict) -> MembershipReport:
     obj = _expect(obj, "report")
     if "experiment" in obj:
         raise DocumentError("experiment reports are not membership reports")
-    try:
-        return MembershipReport(
-            n=int(obj["n"]),
-            verdict=obj["verdict"],
-            method=obj["method"],
-            certificate=_parse_certificate(obj.get("certificate")),
-            chart_moves=int(obj.get("chart_moves", 0)),
-        )
-    except (KeyError, TypeError, ValueError) as err:
-        raise DocumentError(f"bad report document: {err}") from err
+    return MembershipReport(
+        n=_int_in(obj.get("n"), "n", 1),
+        verdict=_str_in(obj.get("verdict"), "verdict"),
+        method=_str_in(obj.get("method"), "method"),
+        certificate=_parse_certificate(obj.get("certificate")),
+        chart_moves=_int_in(obj.get("chart_moves", 0), "chart_moves", 0),
+    )
 
 
 def sign_flip_document(profile: SignFlipProfile, seed: int, trial: int,

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import gcd, lcm
+from itertools import combinations_with_replacement, product
+from math import comb, factorial, gcd, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
 from .indices import BinaryIndex, MinorVector
@@ -463,19 +463,6 @@ def act(g: GroupElement, poly: TensorPolynomial) -> TensorPolynomial:
 
 # -- polarization ----------------------------------------------------
 
-def _multiset_assignments(counts: list[int], slots: int) -> Iterator[tuple[int, ...]]:
-    # All sequences over vector ids with the exact multiplicity profile.
-    if slots == 0:
-        yield ()
-        return
-    for i, c in enumerate(counts):
-        if c:
-            counts[i] -= 1
-            for rest in _multiset_assignments(counts, slots - 1):
-                yield (i,) + rest
-            counts[i] += 1
-
-
 def polarize_eval(poly: TensorPolynomial, vectors: Sequence[MinorVector]) -> Scalar:
     """The symmetric multilinear form attached to a degree-d polynomial,
     evaluated on d vectors.
@@ -485,6 +472,12 @@ def polarize_eval(poly: TensorPolynomial, vectors: Sequence[MinorVector]) -> Sca
     p(t_1 w_1 + ... + t_k w_k).  On pairwise-distinct inputs this is the
     plain coefficient of t_1...t_d; on d equal inputs it equals the
     direct evaluation p(v), with no stray d! factor.
+
+    The coefficient is a mixed finite difference at t = 0:
+    (1/beta!) sum_{c <= beta} (-1)^(|beta|-|c|) prod_j C(beta_j, c_j)
+    p(sum_j c_j w_j).  The difference of t^alpha vanishes unless
+    alpha >= beta componentwise, and p(sum t_j w_j) has total degree
+    <= d = |beta|, so only t^beta survives; d = 0 gives p(0).
     """
     d = poly.degree()
     if len(vectors) != d:
@@ -492,40 +485,20 @@ def polarize_eval(poly: TensorPolynomial, vectors: Sequence[MinorVector]) -> Sca
     for v in vectors:
         if v.n != poly.n:
             raise ValueError("vector factor count mismatch")
-    if d == 0:
-        return poly._terms.get(0, 0)
-    distinct: list[MinorVector] = []
+    distinct: list[tuple[Scalar, ...]] = []
     counts: list[int] = []
     for v in vectors:
-        for i, w in enumerate(distinct):
-            if w.coords == v.coords:
-                counts[i] += 1
-                break
+        if v.coords in distinct:
+            counts[distinct.index(v.coords)] += 1
         else:
-            distinct.append(v)
+            distinct.append(v.coords)
             counts.append(1)
     total: Scalar = 0
-    for key, coeff in poly._terms.items():
-        if monomial_degree(key) != d:
-            continue
-        occurrences: list[int] = []
-        k = key
-        while k:
-            block = k & PAIR_MASK
-            occurrences.extend([block >> EXP_BITS] * (block & EXP_MASK))
-            k >>= PAIR_BITS
-        mono_sum: Scalar = 0
-        for assignment in _multiset_assignments(counts, d):
-            prod: Scalar = coeff
-            for enc, vec_id in zip(occurrences, assignment):
-                value = distinct[vec_id].coords[enc]
-                if value == 0:
-                    prod = 0
-                    break
-                prod = prod * value
-            mono_sum = mono_sum + prod
-        total = total + mono_sum
-    return normalize(total) if isinstance(total, Fraction) else total
+    for c in product(*(range(b + 1) for b in counts)):
+        weight = prod(comb(b, k) for b, k in zip(counts, c))
+        point = [sum(k * w[i] for k, w in zip(c, distinct)) for i in range(1 << poly.n)]
+        total += (-1) ** (d - sum(c)) * weight * evaluate(poly, point)
+    return normalize(Fraction(total, prod(factorial(b) for b in counts)))
 
 
 def linear_subspace_vanishes(poly: TensorPolynomial, basis: Sequence[MinorVector]) -> bool:

@@ -335,3 +335,29 @@ def test_cli_entry_point_runs(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "n=1 coords=2"
+
+
+@pytest.mark.parametrize("command,kind", [
+    (["minors"], "matrix"),
+    (["check"], "minors"),
+    (["reconstruct"], "minors"),
+    (["rep", "lower-to-lowest"], "polynomial"),
+    (["hd-basis", "--n", "3"], None),
+    (["experiment", "sign-flip", "--n", "3"], None),
+])
+def test_unwritable_out_exits_2(tmp_path, capsys, command, kind):
+    a = SymmetricMatrix.from_rows([[1, 1], [1, 2]])
+    infile = tmp_path / "in.json"
+    if kind == "matrix":
+        write_matrix(infile, [[1, 1], [1, 2]])
+    elif kind == "minors":
+        write_minors(infile, minor_vector(a, 1))
+    elif kind == "polynomial":
+        from principal_minors import cayley_hyperdet
+        infile.write_text(dumps(documents.polynomial_document(cayley_hyperdet(3, (1, 2, 3)))))
+    out = tmp_path / "missing" / "out.json"
+    args = command + (["--in", str(infile)] if kind else []) + ["--out", str(out)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}") and err.count("\n") == 1
+    assert not out.parent.exists()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,15 @@ from principal_minors.documents import (
     parse_polynomial_document,
     polynomial_document,
     report_document,
+)
+from principal_minors.membership import (
+    BasisViolation,
+    MatrixCertificate,
+    MembershipReport,
+    MinorMismatch,
+    NoConsistentSigns,
+    PrefilterViolation,
+    SymmetrizableCertificate,
 )
 
 
@@ -165,6 +175,11 @@ def test_parse_rejects_malformed_payload():
             {"kind": "matrix", "schema_version": 1, "n": 1, "scalar_type": "rational",
              "entries": [["1/0"]]}
         )
+    with pytest.raises(DocumentError):
+        parse_matrix_document(
+            {"kind": "matrix", "schema_version": 1, "n": 1, "scalar_type": ["rational"],
+             "entries": [["1/1"]]}
+        )
 
 
 def test_asymmetric_matrix_rejected():
@@ -182,3 +197,110 @@ def test_random_minors_round_trips_exactly():
         coords = [Fraction(rng.randint(-20, 20), rng.randint(1, 20)) for _ in range(1 << n)]
         z = MinorVector.from_values(n, coords)
         assert parse_minors_document(loads(dumps(minors_document(z)))) == z
+
+
+# -- strict reading -----------------------------------------------------
+
+MINORS = {"kind": "minors", "schema_version": 1, "n": 1, "order": "lsb-factor-1",
+          "coords": ["1/1", "2/1"]}
+MATRIX = {"kind": "matrix", "schema_version": 1, "n": 1, "scalar_type": "rational",
+          "entries": [["2/1"]]}
+POLYNOMIAL = {"kind": "polynomial", "schema_version": 1, "n": 1,
+              "terms": [{"monomial": [[0, 2], [1, 1]], "coeff": "1/1"}]}
+REPORT = {"kind": "report", "schema_version": 1, "n": 1, "verdict": "non-member",
+          "method": "reconstruct", "chart_moves": 0,
+          "certificate": {"type": "minor-mismatch", "encoding": 1, "expected": "1/1",
+                          "actual": "2/1"}}
+PARSERS = {"minors": parse_minors_document, "matrix": parse_matrix_document,
+           "polynomial": parse_polynomial_document,
+           "report": documents.parse_report_document}
+# The CLI subcommands that read each kind; reports are read by no subcommand.
+READERS = {
+    "minors": [["check", "--method", m] for m in ("basis", "reconstruct", "prefilter")]
+              + [["reconstruct", "--mode", m] for m in ("exact", "numeric")],
+    "matrix": [["minors"]],
+    "polynomial": [["rep", "lower-to-lowest"]],
+    "report": [],
+}
+BASES = {"minors": MINORS, "matrix": MATRIX, "polynomial": POLYNOMIAL, "report": REPORT}
+
+
+def _certificate(**changes):
+    return {"certificate": dict(REPORT["certificate"], **changes)}
+
+
+# (kind, changed keys): each value was once coerced to a valid one, or crashed
+# the parser.
+MALFORMED = [
+    ("minors", {"coords": [True, 2]}),
+    ("minors", {"n": True}),
+    ("minors", {"n": 0, "coords": ["1/1"]}),
+    ("minors", {"n": -3, "coords": ["1/1"]}),
+    ("minors", {"schema_version": True}),
+    ("matrix", {"entries": [[True]]}),
+    ("matrix", {"n": True}),
+    ("matrix", {"entries": ["2"]}),
+    ("matrix", {"scalar_type": "complex", "entries": [[[True, 0]]]}),
+    ("polynomial", {"terms": [{"monomial": [[0, 1.9]], "coeff": "1/1"}]}),
+    ("polynomial", {"terms": [{"monomial": [["0", 1]], "coeff": "1/1"}]}),
+    ("polynomial", {"n": True}),
+    ("report", {"n": "3"}),
+    ("report", {"n": 0}),
+    ("report", {"chart_moves": 1.7}),
+    ("report", {"chart_moves": -1}),
+    ("report", _certificate(encoding=2.5)),
+    ("report", _certificate(encoding=True)),
+    ("report", _certificate(expected=True)),
+    ("report", {"certificate": {"type": "no-consistent-signs", "check": 1, "encoding": 3,
+                                "expected": "1/1", "actual": "-1/1"}}),
+    ("report", {"certificate": {"type": "symmetrizable-matrix", "rows": ["12"],
+                                "scale": "1/1"}}),
+    ("report", {"certificate": 5}),
+    ("report", {"certificate": {"type": "matrix", "matrix": 5, "scale": "1/1"}}),
+]
+
+
+def test_base_documents_parse():
+    for kind, doc in BASES.items():
+        PARSERS[kind](doc)
+
+
+@pytest.mark.parametrize("kind,changes", MALFORMED)
+def test_malformed_values_are_rejected(kind, changes, tmp_path, capsys):
+    from principal_minors.cli import main
+
+    doc = dict(BASES[kind], **changes)
+    with pytest.raises(DocumentError):
+        PARSERS[kind](doc)
+    infile, out = tmp_path / "in.json", tmp_path / "out.json"
+    infile.write_text(dumps(doc))
+    for command in READERS[kind]:
+        assert main(command + ["--in", str(infile), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert not out.exists()
+
+
+# -- certificates ---------------------------------------------------------
+
+CERTIFICATE_EXAMPLES = [
+    BasisViolation(3, Fraction(-1, 2)),
+    MatrixCertificate(SymmetricMatrix.from_rows([[1, Fraction(2, 3)], [Fraction(2, 3), 3]]), 2),
+    MinorMismatch(7, 1, Fraction(5, 3)),
+    SymmetrizableCertificate(((1, 2), (1, 1)), Fraction(1, 3)),
+    NoConsistentSigns("cycle", 7, 1, -1),
+    PrefilterViolation(-4),
+]
+
+
+def test_every_certificate_type_round_trips_through_the_table():
+    assert {type(c) for c in CERTIFICATE_EXAMPLES} == set(documents.CERTIFICATES.values())
+    for certificate in CERTIFICATE_EXAMPLES:
+        report = MembershipReport(2, "member", "reconstruct", certificate, chart_moves=1)
+        doc = report_document(report)
+        payload = doc["certificate"]
+        # "type" first, then the fields in declaration order: `check` prints this dict
+        assert list(payload) == ["type"] + [f.name for f in fields(certificate)]
+        assert documents.CERTIFICATES[payload["type"]] is type(certificate)
+        assert documents.parse_report_document(loads(dumps(doc))) == report

@@ -237,6 +237,59 @@ def test_polarization_wrong_count_rejected():
         polarize_eval(p, [MinorVector.from_values(1, [1, 1])])
 
 
+def _reference_polarize_eval(poly, vectors):
+    # The coefficient of t^beta by enumerating, for each degree-d monomial,
+    # every assignment of its variable occurrences to the distinct vectors
+    # with multiplicity profile beta.
+    def assignments(counts, slots):
+        if slots == 0:
+            yield ()
+            return
+        for i, c in enumerate(counts):
+            if c:
+                counts[i] -= 1
+                for rest in assignments(counts, slots - 1):
+                    yield (i,) + rest
+                counts[i] += 1
+
+    d = poly.degree()
+    if d == 0:
+        return dict(poly.terms()).get((), 0)
+    distinct, counts = [], []
+    for v in vectors:
+        if v.coords in distinct:
+            counts[distinct.index(v.coords)] += 1
+        else:
+            distinct.append(v.coords)
+            counts.append(1)
+    total = 0
+    for pairs, coeff in poly.terms():
+        occurrences = [enc for enc, exp in pairs for _ in range(exp)]
+        if len(occurrences) != d:
+            continue
+        for assignment in assignments(counts, d):
+            term = coeff
+            for enc, vec_id in zip(occurrences, assignment):
+                term *= distinct[vec_id][enc]
+            total += term
+    return total
+
+
+def test_polarization_matches_assignment_enumeration():
+    rng = random.Random(18)
+    for _ in range(120):
+        n = rng.randint(1, 3)
+        p = sum((random_poly(n, k, rng, terms=2) for k in range(rng.randint(0, 4) + 1)),
+                TensorPolynomial.zero(n))
+        pool = [random_vector(n, rng) for _ in range(rng.randint(1, 3))]
+        vs = [rng.choice(pool) for _ in range(p.degree())]
+        if rng.random() < 0.3:
+            vs = [MinorVector.from_values(n, [Fraction(c, 3) for c in v.coords]) for v in vs]
+        assert polarize_eval(p, vs) == _reference_polarize_eval(p, vs)
+    constant = TensorPolynomial.constant(2, Fraction(5, 7))
+    assert polarize_eval(constant, []) == Fraction(5, 7)
+
+
 def test_linear_subspace_vanishes_examples():
     hd = cayley_hyperdet(3, (1, 2, 3))
     basis = [MinorVector.unit(3, 0), MinorVector.unit(3, 1)]
