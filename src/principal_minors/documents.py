@@ -181,7 +181,7 @@ def parse_polynomial_document(obj: dict) -> TensorPolynomial:
         raise DocumentError("polynomial document needs a terms list")
     try:
         parsed = [
-            (tuple((_int_in(enc, "encoding", 0), _int_in(exp, "exponent", 0))
+            (tuple((_int_in(enc, "encoding", 0), _int_in(exp, "exponent", 1))
                    for enc, exp in term["monomial"]),
              _scalar_in(term["coeff"]))
             for term in terms
@@ -205,19 +205,24 @@ def _basis_entries_payload(basis: ModuleBasis) -> list[dict]:
     ]
 
 
-def basis_digest(basis: ModuleBasis) -> str:
-    payload = dumps({"n": basis.n, "entries": _basis_entries_payload(basis)})
+def _digest(n: int, entries: list[dict]) -> str:
+    payload = dumps({"n": n, "entries": entries})
     return "sha256:" + hashlib.sha256(payload.encode()).hexdigest()
 
 
+def basis_digest(basis: ModuleBasis) -> str:
+    return _digest(basis.n, _basis_entries_payload(basis))
+
+
 def basis_document(basis: ModuleBasis) -> dict:
+    entries = _basis_entries_payload(basis)
     return {
         "kind": "basis",
         "schema_version": SCHEMA_VERSION,
         "n": basis.n,
         "dimension": len(basis),
-        "digest": basis_digest(basis),
-        "entries": _basis_entries_payload(basis),
+        "digest": _digest(basis.n, entries),
+        "entries": entries,
     }
 
 

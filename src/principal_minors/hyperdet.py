@@ -5,7 +5,10 @@ the 8 coordinates supported on T is a highest weight vector (weight 0
 on T, -4 elsewhere).  Lowering it through the complementary factors
 over the exponent box {0..4}^(n-3) yields a weight basis of its
 irreducible summand; the union over all triples is a basis of the whole
-module, of dimension C(n,3) * 5^(n-3).
+module, of dimension C(n,3) * 5^(n-3).  The basis is built for
+n <= MAX_BASIS_FACTORS only: at n = 7 each of the 35 triples gives about
+600,000 terms (12 s on a 2-core x86 VM, Python 3.11), so the whole basis
+would take about 7 minutes and 21 million terms.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from math import comb
 
 from .polynomials import TensorPolynomial, Weight
 from .rep_theory import weight_basis
+
+MAX_BASIS_FACTORS = 6
 
 # The 12 terms of the 2x2x2 hyperdeterminant: local bit patterns of the
 # four variables in one monomial, and the coefficient.
@@ -55,13 +60,11 @@ def cayley_hyperdet(n: int, triple: tuple[int, int, int], outside: int = 0
     base = 0
     if outside:
         base = ((1 << n) - 1) & ~((1 << (t1 - 1)) | (1 << (t2 - 1)) | (1 << (t3 - 1)))
-    terms = []
-    for patterns, coeff in _CAYLEY_TERMS:
-        exps: dict[int, int] = {}
-        for b1, b2, b3 in patterns:
-            enc = base | (b1 << (t1 - 1)) | (b2 << (t2 - 1)) | (b3 << (t3 - 1))
-            exps[enc] = exps.get(enc, 0) + 1
-        terms.append((tuple(exps.items()), coeff))
+    terms = [
+        ([(base | (b1 << (t1 - 1)) | (b2 << (t2 - 1)) | (b3 << (t3 - 1)), 1)
+          for b1, b2, b3 in patterns], coeff)
+        for patterns, coeff in _CAYLEY_TERMS
+    ]
     return TensorPolynomial.from_terms(n, terms)
 
 
@@ -96,9 +99,13 @@ class ModuleBasis:
 def hd_basis(n: int) -> ModuleBasis:
     """Weight basis of the whole degree-4 module: triples in lex order,
     exponent boxes in odometer order, every entry normalized to integer
-    content 1 with positive leading coefficient."""
+    content 1 with positive leading coefficient.  Bounded at
+    n <= MAX_BASIS_FACTORS."""
     if n < 3:
         raise ValueError("module is empty below 3 factors")
+    if n > MAX_BASIS_FACTORS:
+        raise ValueError(f"the degree-4 module basis is built for n <= {MAX_BASIS_FACTORS}"
+                         f" only, got n={n}")
     entries: list[BasisEntry] = []
     for triple in combinations(range(1, n + 1), 3):
         hwv = cayley_hyperdet(n, triple)

@@ -478,6 +478,7 @@ def is_member(z: MinorVector, method: str = "basis") -> MembershipReport:
     unconditionally (the map is surjective there); "reconstruct" treats
     them like any other and attaches a certificate.  A member with no
     rational symmetric realization gets a SymmetrizableCertificate.
+    method="basis" raises ValueError beyond n = 6, the bound of hd_basis.
 
     With method="reconstruct" and z_[0..0] = 0, z is first
     moved into the open chart by J_I: the Weyl element J = [[0, 1],

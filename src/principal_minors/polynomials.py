@@ -8,74 +8,55 @@ X^(i_k=1) to 0 (scalar fixed to 1), hence raises weight component k by
 2; raising is the transpose.  Under this convention highest weight
 vectors carry the numerically smallest weights.
 
-Monomials are packed into single ints: the (index encoding, exponent)
-pairs, sorted by encoding, occupy 19-bit blocks (14 bits of encoding,
-5 of exponent).  This caps n at 14 and exponents at 31, and makes
-hashing and comparison cheap in the basis-generation loops.
+A monomial is packed into a single int, its key: the encodings of its
+factors in ascending order, repeats included, each stored as enc + 1 in
+its own 15-bit field (the smallest in the lowest bits).  So
+X[0]^2 * X[5] is the list (0, 0, 5), every monomial has exactly one
+key, and the degree is the field count.  The 15-bit field caps n at
+14 factors; exponents are unbounded.  Keys make hashing and comparison
+cheap in the basis-generation loops.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, groupby, product
 from math import comb, factorial, gcd, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
 from .indices import BinaryIndex, MinorVector
 from .scalars import Scalar, as_scalar, normalize
 
-ENC_BITS = 14
-EXP_BITS = 5
-PAIR_BITS = ENC_BITS + EXP_BITS
-PAIR_MASK = (1 << PAIR_BITS) - 1
-EXP_MASK = (1 << EXP_BITS) - 1
-MAX_FACTORS = ENC_BITS
+FIELD_BITS = 15
+FIELD_MASK = (1 << FIELD_BITS) - 1
+MAX_FACTORS = FIELD_BITS - 1
 
 Weight = tuple[int, ...]
 
 
-def pack_monomial(pairs: Iterable[tuple[int, int]]) -> int:
-    """Pack (encoding, exponent) pairs, sorted by encoding, into an int."""
+def pack_monomial(encodings: Iterable[int]) -> int:
+    """The key of the monomial with these factor encodings, in any order."""
     key = 0
-    for pos, (enc, exp) in enumerate(sorted(pairs)):
-        if not 1 <= exp <= EXP_MASK:
-            raise ValueError(f"exponent {exp} out of range")
-        key |= ((enc << EXP_BITS) | exp) << (PAIR_BITS * pos)
+    for enc in sorted(encodings, reverse=True):
+        key = (key << FIELD_BITS) | (enc + 1)
     return key
 
 
-def unpack_monomial(key: int) -> tuple[tuple[int, int], ...]:
-    pairs = []
+def unpack_monomial(key: int) -> list[int]:
+    """The factor encodings of a key, ascending with repeats."""
+    encodings = []
     while key:
-        block = key & PAIR_MASK
-        pairs.append((block >> EXP_BITS, block & EXP_MASK))
-        key >>= PAIR_BITS
-    return tuple(pairs)
-
-
-def monomial_degree(key: int) -> int:
-    d = 0
-    while key:
-        d += key & EXP_MASK
-        key >>= PAIR_BITS
-    return d
-
-
-def monomial_mul(k1: int, k2: int) -> int:
-    exps: dict[int, int] = {}
-    for key in (k1, k2):
-        while key:
-            block = key & PAIR_MASK
-            enc = block >> EXP_BITS
-            exps[enc] = exps.get(enc, 0) + (block & EXP_MASK)
-            key >>= PAIR_BITS
-    return pack_monomial(exps.items())
+        encodings.append((key & FIELD_MASK) - 1)
+        key >>= FIELD_BITS
+    return encodings
 
 
 def grlex_key(key: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Graded-lex sort key: total degree, then the sorted pair tuple."""
-    return (monomial_degree(key), unpack_monomial(key))
+    """Graded-lex sort key: total degree, then the (encoding, exponent)
+    pairs in ascending encoding order."""
+    encodings = unpack_monomial(key)
+    return (len(encodings), tuple((enc, len(list(run))) for enc, run in groupby(encodings)))
 
 
 class TensorPolynomial:
@@ -110,25 +91,30 @@ class TensorPolynomial:
 
     @classmethod
     def constant(cls, n: int, value) -> "TensorPolynomial":
-        return cls(n, {0: as_scalar(value)})
+        return cls(n, {pack_monomial([]): as_scalar(value)})
 
     @classmethod
     def variable(cls, n: int, index: "BinaryIndex | int") -> "TensorPolynomial":
         enc = index.encoding if isinstance(index, BinaryIndex) else index
         if not 0 <= enc < (1 << n):
             raise ValueError(f"encoding {enc} out of range for n={n}")
-        return cls(n, {pack_monomial([(enc, 1)]): 1})
+        return cls(n, {pack_monomial([enc]): 1})
 
     @classmethod
     def from_terms(cls, n: int, terms: Iterable[tuple[Iterable[tuple[int, int]], Scalar]]
                    ) -> "TensorPolynomial":
+        """The sum of coeff * prod (X^enc)^exp over each term's (encoding,
+        exponent) pairs; one encoding may appear in several pairs."""
         acc: dict[int, Scalar] = {}
         for pairs, coeff in terms:
-            pairs = tuple(pairs)
-            for enc, _ in pairs:
+            encodings = []
+            for enc, exp in pairs:
                 if not 0 <= enc < (1 << n):
                     raise ValueError(f"encoding {enc} out of range for n={n}")
-            key = pack_monomial(pairs)
+                if exp < 1:
+                    raise ValueError(f"exponent {exp} must be at least 1")
+                encodings += [enc] * exp
+            key = pack_monomial(encodings)
             acc[key] = acc.get(key, 0) + as_scalar(coeff)
         return cls(n, acc)
 
@@ -140,16 +126,17 @@ class TensorPolynomial:
     def degree(self) -> int:
         if not self._terms:
             return 0
-        return max(monomial_degree(k) for k in self._terms)
+        return max(len(unpack_monomial(k)) for k in self._terms)
 
     def is_homogeneous(self) -> bool:
-        degrees = {monomial_degree(k) for k in self._terms}
+        degrees = {len(unpack_monomial(k)) for k in self._terms}
         return len(degrees) <= 1
 
     def terms(self) -> Iterator[tuple[tuple[tuple[int, int], ...], Scalar]]:
-        """Terms in graded-lex order (deterministic)."""
-        for key in sorted(self._terms, key=grlex_key):
-            yield unpack_monomial(key), self._terms[key]
+        """(encoding, exponent) pairs and coefficients in graded-lex order
+        (deterministic); keys are unique, so coefficients never compare."""
+        for (_, pairs), coeff in sorted((grlex_key(k), c) for k, c in self._terms.items()):
+            yield pairs, coeff
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, TensorPolynomial)
@@ -193,9 +180,11 @@ class TensorPolynomial:
         if isinstance(other, TensorPolynomial):
             self._check_same_space(other)
             acc: dict[int, Scalar] = {}
+            right = [(unpack_monomial(k2), c2) for k2, c2 in other._terms.items()]
             for k1, c1 in self._terms.items():
-                for k2, c2 in other._terms.items():
-                    key = monomial_mul(k1, k2)
+                left = unpack_monomial(k1)
+                for encodings, c2 in right:
+                    key = pack_monomial(left + encodings)
                     acc[key] = acc.get(key, 0) + c1 * c2
             return TensorPolynomial(self.n, acc)
         scalar = as_scalar(other)
@@ -241,30 +230,26 @@ def evaluate(poly: TensorPolynomial, point: "MinorVector | Sequence[Scalar]") ->
         if len(values) != (1 << poly.n):
             raise ValueError(f"expected {1 << poly.n} coordinates")
     total: Scalar = 0
+    # Keys are read field by field in place, not unpacked into lists:
+    # this loop is nearly all the cost of a basis membership check.
     for key, coeff in poly._terms.items():
         term = coeff
         while key:
-            block = key & PAIR_MASK
-            value = values[block >> EXP_BITS]
+            value = values[(key & FIELD_MASK) - 1]
             if value == 0:
                 term = 0
                 break
-            exp = block & EXP_MASK
-            term = term * (value if exp == 1 else value**exp)
-            key >>= PAIR_BITS
+            term = term * value
+            key >>= FIELD_BITS
         total = total + term
     return normalize(total) if isinstance(total, Fraction) else total
 
 
 def monomial_weight(key: int, n: int) -> Weight:
     w = [0] * n
-    while key:
-        block = key & PAIR_MASK
-        enc = block >> EXP_BITS
-        exp = block & EXP_MASK
+    for enc in unpack_monomial(key):
         for k in range(n):
-            w[k] += exp if (enc >> k) & 1 else -exp
-        key >>= PAIR_BITS
+            w[k] += 1 if (enc >> k) & 1 else -1
     return tuple(w)
 
 
@@ -288,21 +273,14 @@ def _derivation(poly: TensorPolynomial, factor: int, from_bit: int) -> TensorPol
     if not 1 <= factor <= poly.n:
         raise ValueError(f"factor {factor} out of range 1..{poly.n}")
     bit = 1 << (factor - 1)
+    match = bit if from_bit else 0
     acc: dict[int, Scalar] = {}
     for key, coeff in poly._terms.items():
-        pairs = unpack_monomial(key)
-        for pos, (enc, exp) in enumerate(pairs):
-            if ((enc & bit) != 0) != (from_bit == 1):
-                continue
-            exps: dict[int, int] = dict(pairs)
-            if exp == 1:
-                del exps[enc]
-            else:
-                exps[enc] = exp - 1
-            target = enc ^ bit
-            exps[target] = exps.get(target, 0) + 1
-            new_key = pack_monomial(exps.items())
-            acc[new_key] = acc.get(new_key, 0) + coeff * exp
+        encodings = unpack_monomial(key)
+        for pos, enc in enumerate(encodings):
+            if (enc & bit) == match:
+                new_key = pack_monomial(encodings[:pos] + [enc ^ bit] + encodings[pos + 1:])
+                acc[new_key] = acc.get(new_key, 0) + coeff
     return TensorPolynomial(poly.n, acc)
 
 
@@ -420,18 +398,12 @@ def _substitute(poly: TensorPolynomial, n: int,
     polynomial on n factors."""
     acc: dict[int, Scalar] = {}
     for key, coeff in poly._terms.items():
-        partial: dict[int, Scalar] = {0: coeff}
-        for enc, exp in unpack_monomial(key):
-            for _ in range(exp):
-                nxt: dict[int, Scalar] = {}
-                for pk, pc in partial.items():
-                    for target, c in forms[enc]:
-                        if c != 0:
-                            # (target << EXP_BITS) | 1 is the packed monomial X^target
-                            mk = monomial_mul(pk, (target << EXP_BITS) | 1)
-                            nxt[mk] = nxt.get(mk, 0) + pc * c
-                partial = nxt
-        for mk, mc in partial.items():
+        partial: list[tuple[tuple[int, ...], Scalar]] = [((), coeff)]
+        for enc in unpack_monomial(key):
+            partial = [(encodings + (target,), pc * c)
+                       for encodings, pc in partial for target, c in forms[enc] if c != 0]
+        for encodings, mc in partial:
+            mk = pack_monomial(encodings)
             acc[mk] = acc.get(mk, 0) + mc
     return TensorPolynomial(n, acc)
 
@@ -520,11 +492,12 @@ def split_by_top_variable(poly: TensorPolynomial
     top = (1 << poly.n) - 1
     buckets: list[dict[int, Scalar]] = [{}, {}, {}]
     for key, coeff in poly._terms.items():
-        exps = dict(unpack_monomial(key))
-        e = exps.pop(top, 0)
+        encodings = unpack_monomial(key)
+        rest = [enc for enc in encodings if enc != top]
+        e = len(encodings) - len(rest)
         if e > 2:
             raise ValueError(f"degree {e} > 2 in the top variable")
-        stripped = pack_monomial(exps.items())
+        stripped = pack_monomial(rest)
         bucket = buckets[e]
         bucket[stripped] = bucket.get(stripped, 0) + coeff
     c, b, a = (TensorPolynomial(poly.n, bk) for bk in buckets)

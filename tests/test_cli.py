@@ -247,6 +247,19 @@ def test_hd_basis_subcommand(tmp_path, capsys):
     assert doc["digest"] == GOLDEN_N4_DIGEST
 
 
+def test_basis_beyond_its_bound_exits_2(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    infile = tmp_path / "z.json"
+    write_minors(infile, minor_vector(SymmetricMatrix.from_rows(
+        [[1 if i == j else 0 for j in range(7)] for i in range(7)]), 1))
+    for command in (["hd-basis", "--n", "7"], ["check", "--in", str(infile), "--method", "basis"]):
+        assert main(command + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the degree-4 module basis is built for n <= 6 only, got n=7\n"
+        assert not out.exists()
+
+
 def test_rep_multiplicity(capsys):
     assert main(["rep", "multiplicity", "2,2;2,2;2,2"]) == 0
     assert capsys.readouterr().out.strip() == "1"
@@ -274,6 +287,16 @@ def test_rep_lower_to_lowest(tmp_path, capsys):
     assert "weight=[0, 0, 0, 4]" in printed
     lowest = documents.parse_polynomial_document(loads(out.read_text()))
     assert lowest.degree() == 4
+
+
+def test_rep_lower_to_lowest_merges_repeated_encodings(tmp_path, capsys):
+    # X[0]*X[0] listed as two factors is X[0]^2: it lowers to 2*X[1]^2
+    pfile, out = tmp_path / "p.json", tmp_path / "lowest.json"
+    pfile.write_text(dumps({"kind": "polynomial", "schema_version": 1, "n": 1,
+                            "terms": [{"monomial": [[0, 1], [0, 1]], "coeff": "1/1"}]}))
+    assert main(["rep", "lower-to-lowest", "--in", str(pfile), "--out", str(out)]) == 0
+    assert "weight=[2]" in capsys.readouterr().out
+    assert loads(out.read_text())["terms"] == [{"monomial": [[1, 2]], "coeff": "2/1"}]
 
 
 def test_experiment_sign_flip_deterministic(tmp_path, capsys):

@@ -257,6 +257,7 @@ MALFORMED = [
                                 "scale": "1/1"}}),
     ("report", {"certificate": 5}),
     ("report", {"certificate": {"type": "matrix", "matrix": 5, "scale": "1/1"}}),
+    ("polynomial", {"terms": [{"monomial": [[0, 0]], "coeff": "1/1"}]}),
 ]
 
 

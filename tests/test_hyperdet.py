@@ -111,13 +111,13 @@ def test_ideal_membership_small_sample():
 
 
 def _poly_rank(polys):
-    keys = sorted({key for p in polys for key, _ in _packed_terms(p)})
-    col = {k: i for i, k in enumerate(keys)}
+    monomials = sorted({pairs for p in polys for pairs, _ in p.terms()})
+    col = {m: i for i, m in enumerate(monomials)}
     rows = []
     for p in polys:
-        row = [Fraction(0)] * len(keys)
-        for key, coeff in _packed_terms(p):
-            row[col[key]] = Fraction(coeff)
+        row = [Fraction(0)] * len(monomials)
+        for pairs, coeff in p.terms():
+            row[col[pairs]] = Fraction(coeff)
         rows.append(row)
     return _rank(rows)
 
@@ -144,10 +144,6 @@ def test_basis_span_equals_orbit_span_n4():
     assert _poly_rank(images) == 20
     basis_polys = [e.polynomial for e in hd_basis(4)]
     assert _poly_rank(images + basis_polys) == 20
-
-
-def _packed_terms(poly):
-    return list(poly._terms.items())
 
 
 def _rank(rows):

@@ -71,6 +71,28 @@ def test_evaluate_exact_fractions():
     assert evaluate(p, z) == Fraction(7, 9)
 
 
+# -- monomial keys -----------------------------------------------------
+
+def test_repeated_encoding_is_one_monomial():
+    # a monomial listing one encoding twice is the square, not a second key
+    p = TensorPolynomial.from_terms(1, [([(0, 1), (0, 1)], 1)])
+    square = X(1, 0) ** 2
+    assert p == square
+    assert repr(p) == repr(square) == "1*X[0]^2"
+    assert (p - square).is_zero()
+    assert list(p.terms()) == [(((0, 2),), 1)]
+    mixed = TensorPolynomial.from_terms(2, [([(3, 1), (0, 2), (3, 1)], 1)])
+    assert mixed == X(2, 0) ** 2 * X(2, 3) ** 2
+
+
+def test_exponents_are_unbounded_but_positive():
+    assert list((X(1, 0) ** 32).terms()) == [(((0, 32),), 1)]
+    assert (X(1, 0) ** 32).degree() == 32
+    for exp in (0, -1):
+        with pytest.raises(ValueError):
+            TensorPolynomial.from_terms(1, [([(0, exp)], 1)])
+
+
 # -- weights -----------------------------------------------------------
 
 def test_weight_of_examples():
