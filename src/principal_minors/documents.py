@@ -4,7 +4,10 @@ All documents are JSON objects with "kind" and "schema_version" fields,
 serialized canonically (sorted keys, fixed separators) so identical data
 yields byte-identical files.  Each value kind has one writer and one
 reader.  Integers are JSON integers with a lower bound (n >= 1;
-encodings, exponents and chart_moves >= 0).  Rationals are written as
+polynomial exponents >= 1; encodings, basis exponents and chart_moves
+>= 0).  A polynomial document's monomials have total degree at most
+MAX_DOCUMENT_DEGREE, so a short input cannot expand into a huge
+monomial.  Rationals are written as
 reduced "p/q" strings with q > 0 and read from such strings or JSON
 integers; booleans and floats are rejected for both.  Minor vectors
 carry the explicit "order": "lsb-factor-1" marker (factor 1 = least
@@ -38,6 +41,7 @@ from .scalars import Scalar, as_scalar, scalar_str
 
 SCHEMA_VERSION = 1
 MINOR_ORDER = "lsb-factor-1"
+MAX_DOCUMENT_DEGREE = 31
 
 
 class DocumentError(ValueError):
@@ -173,6 +177,15 @@ def polynomial_document(poly: TensorPolynomial) -> dict:
     }
 
 
+def _monomial_in(monomial: Any) -> tuple[tuple[int, int], ...]:
+    pairs = tuple((_int_in(enc, "encoding", 0), _int_in(exp, "exponent", 1))
+                  for enc, exp in monomial)
+    degree = sum(exp for _, exp in pairs)
+    if degree > MAX_DOCUMENT_DEGREE:
+        raise DocumentError(f"monomial degree {degree} exceeds {MAX_DOCUMENT_DEGREE}")
+    return pairs
+
+
 def parse_polynomial_document(obj: dict) -> TensorPolynomial:
     obj = _expect(obj, "polynomial")
     n = _int_in(obj.get("n"), "n", 1)
@@ -180,12 +193,7 @@ def parse_polynomial_document(obj: dict) -> TensorPolynomial:
     if not isinstance(terms, list):
         raise DocumentError("polynomial document needs a terms list")
     try:
-        parsed = [
-            (tuple((_int_in(enc, "encoding", 0), _int_in(exp, "exponent", 1))
-                   for enc, exp in term["monomial"]),
-             _scalar_in(term["coeff"]))
-            for term in terms
-        ]
+        parsed = [(_monomial_in(term["monomial"]), _scalar_in(term["coeff"])) for term in terms]
         return TensorPolynomial.from_terms(n, parsed)
     except (KeyError, TypeError, ValueError) as err:
         raise DocumentError(f"bad polynomial document: {err}") from err

@@ -398,11 +398,18 @@ def _substitute(poly: TensorPolynomial, n: int,
     polynomial on n factors."""
     acc: dict[int, Scalar] = {}
     for key, coeff in poly._terms.items():
-        partial: list[tuple[tuple[int, ...], Scalar]] = [((), coeff)]
+        # partial products merge by their sorted encodings at every step,
+        # so X^d under a 2-term form keeps d + 1 entries, not 2^d
+        partial: dict[tuple[int, ...], Scalar] = {(): coeff}
         for enc in unpack_monomial(key):
-            partial = [(encodings + (target,), pc * c)
-                       for encodings, pc in partial for target, c in forms[enc] if c != 0]
-        for encodings, mc in partial:
+            nxt: dict[tuple[int, ...], Scalar] = {}
+            for encodings, pc in partial.items():
+                for target, c in forms[enc]:
+                    if c != 0:
+                        merged = tuple(sorted(encodings + (target,)))
+                        nxt[merged] = nxt.get(merged, 0) + pc * c
+            partial = nxt
+        for encodings, mc in partial.items():
             mk = pack_monomial(encodings)
             acc[mk] = acc.get(mk, 0) + mc
     return TensorPolynomial(n, acc)

@@ -258,6 +258,8 @@ MALFORMED = [
     ("report", {"certificate": 5}),
     ("report", {"certificate": {"type": "matrix", "matrix": 5, "scale": "1/1"}}),
     ("polynomial", {"terms": [{"monomial": [[0, 0]], "coeff": "1/1"}]}),
+    ("polynomial", {"terms": [{"monomial": [[0, 1000000]], "coeff": "1/1"}]}),
+    ("polynomial", {"terms": [{"monomial": [[0, 16], [1, 16]], "coeff": "1/1"}]}),
 ]
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from principal_minors import (
     tensor_product,
     weight_of,
 )
+from principal_minors.polynomials import apply_factor_matrix
 from principal_minors.sampling import random_special_element
 
 X = TensorPolynomial.variable
@@ -91,6 +93,14 @@ def test_exponents_are_unbounded_but_positive():
     for exp in (0, -1):
         with pytest.raises(ValueError):
             TensorPolynomial.from_terms(1, [([(0, exp)], 1)])
+
+
+def test_substitution_expands_a_power_binomially():
+    # X[0] -> 2 X[0] + 3 X[1], so X[0]^20 has the 21 binomial terms
+    image = apply_factor_matrix(X(1, 0) ** 20, 1, ((2, 3), (5, 7)))
+    expected = {tuple(pair for pair in ((0, k), (1, 20 - k)) if pair[1]):
+                comb(20, k) * 2**k * 3**(20 - k) for k in range(21)}
+    assert dict(image.terms()) == expected
 
 
 # -- weights -----------------------------------------------------------
