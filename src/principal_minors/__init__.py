@@ -44,7 +44,6 @@ from .membership import (
     SignFlipProfile,
     is_member,
     reconstruct,
-    recursive_prefilter,
     sign_flip_profile,
 )
 
@@ -92,7 +91,6 @@ __all__ = [
     "hd_dimension",
     "hd_basis",
     "is_member",
-    "recursive_prefilter",
     "reconstruct",
     "sign_flip_profile",
 ]

@@ -22,10 +22,8 @@ from .membership import (
     EXIT_MEMBER,
     EXIT_NON_MEMBER,
     EXIT_USAGE,
-    MinorMismatchError,
-    NoConsistentSignsError,
+    NonMemberError,
     NonSquareEntryError,
-    ZeroLeadingCoordinateError,
     is_member,
     reconstruct,
     sign_flip_profile,
@@ -85,13 +83,10 @@ def _cmd_reconstruct(args) -> int:
     z = documents.parse_minors_document(_read_document(args.infile))
     try:
         matrix = reconstruct(z, args.mode)
-    except ZeroLeadingCoordinateError as err:
-        print(f"error: {err} (the open chart z_[0..0] != 0 is required)", file=sys.stderr)
-        return EXIT_USAGE
     except NonSquareEntryError as err:
         print(f"member, not rational: {err}", file=sys.stderr)
         return EXIT_INDETERMINATE
-    except (NoConsistentSignsError, MinorMismatchError) as err:
+    except NonMemberError as err:
         print(f"non-member: {err}", file=sys.stderr)
         return EXIT_NON_MEMBER
     _write_document(args.out, documents.matrix_document(matrix))

@@ -109,9 +109,8 @@ def hd_basis(n: int) -> ModuleBasis:
     entries: list[BasisEntry] = []
     for triple in combinations(range(1, n + 1), 3):
         hwv = cayley_hyperdet(n, triple)
-        depths = [0 if k in triple else 4 for k in range(1, n + 1)]
         complementary = [k for k in range(1, n + 1) if k not in triple]
-        for vector in weight_basis(hwv, depths):
+        for vector in weight_basis(hwv):
             exps = tuple(vector.exponents[k - 1] for k in complementary)
             entries.append(BasisEntry(triple, exps, vector.polynomial, vector.weight))
     return ModuleBasis(n, tuple(entries))

@@ -9,7 +9,9 @@ Three methods:
               the product of the a_e around each cycle of a minimum
               cycle basis from that cycle's coordinate; check every
               |I| = 3 coordinate, then all 2^n.  Decides every vector
-              with z_[0..0] != 0 (after one chart move otherwise).
+              with z_[0..0] != 0 (after one chart move otherwise); each
+              failure raises a ReconstructionError carrying the report's
+              certificate.
   prefilter   necessary condition: Cayley's 2x2x2 hyperdeterminant on
               each of the C(n,3) * 2^(n-3) slices that fix every factor
               outside a triple to 0 or 1, each slice checked once.
@@ -80,7 +82,10 @@ class SymmetrizableCertificate:
 
 @dataclass(frozen=True)
 class NoConsistentSigns:
-    """See NoConsistentSignsError: check is "cycle" or "triple"."""
+    """check "cycle": on the chordless cycle with vertex set `encoding`,
+    the cycle product read from z squares to `actual`, not to the product
+    `expected` of its squared entries.  check "triple": the candidate's
+    minor at `encoding` is `actual`, not z's `expected`."""
     check: str
     encoding: int
     expected: Scalar
@@ -112,47 +117,46 @@ class MembershipReport:
 # -- reconstruction ----------------------------------------------------
 
 class ReconstructionError(Exception):
-    pass
+    """z has no rational symmetric matrix; .certificate is the one
+    `is_member` reports."""
+
+    def __init__(self, message: str, certificate):
+        super().__init__(message)
+        self.certificate = certificate
 
 
-class ZeroLeadingCoordinateError(ReconstructionError):
+class ZeroLeadingCoordinateError(ValueError):
     """The open-chart assumption z_[0..0] != 0 is required."""
 
 
 class NonSquareEntryError(ReconstructionError):
     """z is a member, but a_ij^2 = s_ij is not a rational square for
-    some edge, so no rational symmetric matrix has these minors.  rows
-    is the verified rational matrix B of `reconstruct`; real says
-    whether a real symmetric matrix exists (every s_e > 0)."""
+    some edge, so no rational symmetric matrix has these minors.  The
+    certificate holds the verified rational matrix B of `reconstruct`;
+    real says whether a real symmetric matrix exists (every s_e > 0)."""
 
-    def __init__(self, i: int, j: int, value: Scalar, real: bool, rows):
+    def __init__(self, i: int, j: int, value: Scalar, real: bool,
+                 certificate: SymmetrizableCertificate):
         super().__init__(
             f"a_{i + 1},{j + 1}^2 = {value} is not a rational square, so no rational"
             f" symmetric matrix has these minors; "
             + ("a real one does" if real else "no real one does either (some a_kl^2 < 0)")
-            + " (numeric mode writes one in complex floats)"
+            + " (numeric mode writes one in complex floats)",
+            certificate,
         )
-        self.i, self.j, self.value, self.real, self.rows = i, j, value, real, rows
+        self.i, self.j, self.value, self.real = i, j, value, real
 
 
-class NoConsistentSignsError(ReconstructionError):
-    """check "cycle": on the chordless cycle with vertex set `encoding`,
-    the cycle product read from z squares to `actual`, not to the product
-    `expected` of its squared entries.  check "triple": the candidate's
-    minor at `encoding` is `actual`, not z's `expected`."""
+class NonMemberError(ReconstructionError):
+    """z is not a vector of principal minors; the certificate is a
+    NoConsistentSigns or a MinorMismatch."""
 
-    def __init__(self, check: str, encoding: int, expected, actual):
-        super().__init__(
-            f"no off-diagonal signs fit the {check} at encoding {encoding}:"
-            f" expected {expected}, got {actual}"
-        )
-        self.check, self.encoding, self.expected, self.actual = check, encoding, expected, actual
-
-
-class MinorMismatchError(ReconstructionError):
-    def __init__(self, encoding: int, expected, actual):
-        super().__init__(f"minor at encoding {encoding}: expected {expected}, got {actual}")
-        self.encoding, self.expected, self.actual = encoding, expected, actual
+    def __init__(self, certificate):
+        what = (f"no off-diagonal signs fit the {certificate.check}"
+                if isinstance(certificate, NoConsistentSigns) else "minor")
+        super().__init__(f"{what} at encoding {certificate.encoding}:"
+                         f" expected {certificate.expected}, got {certificate.actual}",
+                         certificate)
 
 
 def _spanning_forest(n: int, edges: list[tuple[int, int]]
@@ -291,7 +295,8 @@ def _solve_gauge(w: list, n: int):
         for e in cycle_edges:
             squares *= s[e]
         if pi * pi != squares:
-            raise NoConsistentSignsError("cycle", sum(1 << c for c in cycle), squares, pi * pi)
+            raise NonMemberError(
+                NoConsistentSigns("cycle", sum(1 << c for c in cycle), squares, pi * pi))
         row = (cycle_mask, pi)
         for other in used:
             row = merge(row, other)
@@ -377,10 +382,10 @@ def _verify(rows: list[list], w: list) -> None:
         enc = sum(1 << v for v in ijk)
         value = det_exact([[rows[a][b] for b in ijk] for a in ijk])
         if value != w[enc]:
-            raise NoConsistentSignsError("triple", enc, w[enc], value)
+            raise NonMemberError(NoConsistentSigns("triple", enc, w[enc], value))
     for enc, value in enumerate(all_principal_minors(rows, det_exact)):
         if value != w[enc]:
-            raise MinorMismatchError(enc, w[enc], value)
+            raise NonMemberError(MinorMismatch(enc, w[enc], value))
 
 
 def reconstruct(z: MinorVector, mode: str = "exact") -> SymmetricMatrix:
@@ -396,18 +401,24 @@ def reconstruct(z: MinorVector, mode: str = "exact") -> SymmetricMatrix:
     diagonally similar to a complex symmetric one.  The candidate is
     checked on every |I| = 3 coordinate and then on all 2^n.
 
-    z and every nonzero multiple of it give the same matrix.  Exact mode
-    returns A, or raises NonSquareEntryError (carrying the verified B)
-    when no rational symmetric matrix exists.  Numeric mode makes the same
-    exact decision and writes the symmetric matrix in complex floats:
-    forest edges get a square root of s_e (rational when it exists), every
-    other edge its cycle product divided by its forest path.
+    z and every nonzero multiple of it give the same matrix.  Every
+    failure is a ReconstructionError whose .certificate is the one
+    `is_member` reports: NonMemberError carries a NoConsistentSigns
+    (cycle or triple check) or a MinorMismatch (2^n check), and in exact
+    mode NonSquareEntryError carries a SymmetrizableCertificate with the
+    verified B when z is a member with no rational symmetric matrix.
+    z_[0..0] = 0 raises ZeroLeadingCoordinateError, a ValueError.
+    Numeric mode makes the same exact decision and writes the symmetric
+    matrix in complex floats: forest edges get a square root of s_e
+    (rational when it exists), every other edge its cycle product divided
+    by its forest path.
     """
     if mode not in ("exact", "numeric"):
         raise ValueError(f"unknown mode {mode!r}")
     n, z0 = z.n, z[0]
     if z0 == 0:
-        raise ZeroLeadingCoordinateError("leading coordinate z_[0..0] is zero")
+        raise ZeroLeadingCoordinateError("leading coordinate z_[0..0] is zero"
+                                         " (the open chart z_[0..0] != 0 is required)")
     w = [normalize(Fraction(c) / z0) for c in z.coords]
     diag, s, parent, forest, fundamental = _solve_gauge(w, n)
     roots = {e: sqrt_exact(s[e]) for e in forest}
@@ -421,7 +432,8 @@ def reconstruct(z: MinorVector, mode: str = "exact") -> SymmetricMatrix:
         if non_square is not None:
             i, j = non_square
             real = all(value > 0 for value in s.values())
-            raise NonSquareEntryError(i, j, s[non_square], real, rows)
+            raise NonSquareEntryError(i, j, s[non_square], real,
+                                      SymmetrizableCertificate(tuple(map(tuple, rows)), z0))
         return SymmetricMatrix.from_rows(rows)
     try:
         if non_square is not None:
@@ -460,15 +472,6 @@ def _prefilter_violation(z: MinorVector) -> Optional[Scalar]:
     return None
 
 
-def recursive_prefilter(z: MinorVector) -> bool:
-    """Necessary condition only: True means no 2x2x2 slice of z has a
-    nonzero hyperdeterminant, not membership.  Each of the
-    C(n,3) * 2^(n-3) slices is checked once."""
-    if z.is_zero():
-        raise ValueError("zero vector")
-    return _prefilter_violation(z) is None
-
-
 # -- membership --------------------------------------------------------
 
 def is_member(z: MinorVector, method: str = "basis") -> MembershipReport:
@@ -476,9 +479,12 @@ def is_member(z: MinorVector, method: str = "basis") -> MembershipReport:
 
     With method="basis" or "prefilter", n <= 2 vectors are members
     unconditionally (the map is surjective there); "reconstruct" treats
-    them like any other and attaches a certificate.  A member with no
-    rational symmetric realization gets a SymmetrizableCertificate.
-    method="basis" raises ValueError beyond n = 6, the bound of hd_basis.
+    them like any other and attaches a certificate: the
+    MatrixCertificate of the matrix it returns, or the certificate of the
+    ReconstructionError it raises (a member with no rational symmetric
+    realization gets a SymmetrizableCertificate, a non-member a
+    NoConsistentSigns or MinorMismatch).  method="basis" raises ValueError
+    beyond n = 6, the bound of hd_basis.
 
     With method="reconstruct" and z_[0..0] = 0, z is first
     moved into the open chart by J_I: the Weyl element J = [[0, 1],
@@ -514,25 +520,11 @@ def is_member(z: MinorVector, method: str = "basis") -> MembershipReport:
             z = act_point(weyl, z)
             moves = 1
         try:
-            matrix = reconstruct(z, "exact")
-        except NonSquareEntryError as err:
-            rows = tuple(map(tuple, err.rows))
-            return MembershipReport(
-                n, VERDICT_MEMBER, method, SymmetrizableCertificate(rows, z[0]), moves
-            )
-        except NoConsistentSignsError as err:
-            return MembershipReport(
-                n, VERDICT_NON_MEMBER, method,
-                NoConsistentSigns(err.check, err.encoding, err.expected, err.actual), moves,
-            )
-        except MinorMismatchError as err:
-            return MembershipReport(
-                n, VERDICT_NON_MEMBER, method,
-                MinorMismatch(err.encoding, err.expected, err.actual), moves,
-            )
-        return MembershipReport(
-            n, VERDICT_MEMBER, method, MatrixCertificate(matrix, z[0]), moves
-        )
+            certificate = MatrixCertificate(reconstruct(z, "exact"), z[0])
+        except ReconstructionError as err:
+            verdict = VERDICT_MEMBER if isinstance(err, NonSquareEntryError) else VERDICT_NON_MEMBER
+            return MembershipReport(n, verdict, method, err.certificate, moves)
+        return MembershipReport(n, VERDICT_MEMBER, method, certificate, moves)
     # method == "prefilter"
     violation = _prefilter_violation(z)
     if violation is not None:

@@ -202,21 +202,17 @@ class TensorPolynomial:
 
     # -- normalization -----------------------------------------------
 
-    def leading_key(self) -> int:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading term")
-        return max(self._terms, key=grlex_key)
-
     def normalized(self) -> "TensorPolynomial":
-        """Rescale to integer content 1 with positive leading coefficient."""
+        """Rescale to integer content 1 with positive graded-lex leading
+        coefficient, in integers: every c * denom is an integer multiple
+        of the content."""
         if self.is_zero():
             return self
-        denom = lcm(*(Fraction(c).denominator for c in self._terms.values()))
-        numer = gcd(*(Fraction(c * denom).numerator for c in self._terms.values()))
-        scale = Fraction(denom, numer)
-        if self._terms[self.leading_key()] < 0:
-            scale = -scale
-        return self * scale
+        denom = lcm(*(c.denominator for c in self._terms.values()))
+        content = gcd(*(c.numerator * (denom // c.denominator) for c in self._terms.values()))
+        if self._terms[max(self._terms, key=grlex_key)] < 0:
+            content = -content
+        return TensorPolynomial(self.n, {k: c * denom // content for k, c in self._terms.items()})
 
 
 def evaluate(poly: TensorPolynomial, point: "MinorVector | Sequence[Scalar]") -> Scalar:

@@ -4,7 +4,10 @@ Characters come from the Murnaghan-Nakayama rule over beta-numbers;
 multiplicities of tensor products of Schur modules inside symmetric
 powers are class-size-weighted character sums.  The lowering machinery
 turns a single highest weight polynomial into a full weight basis of
-its irreducible module.
+its irreducible module.  Multiplicities take partitions of size at most
+MAX_PARTITION_SIZE, and a decomposition at most MAX_FACTORS factors and
+MAX_CHARACTER_PRODUCTS character products; beyond them a ValueError is
+raised.
 """
 
 from __future__ import annotations
@@ -16,12 +19,21 @@ from math import factorial
 from typing import Iterator, NamedTuple, Sequence
 
 from .polynomials import (
+    MAX_FACTORS,
     TensorPolynomial,
     Weight,
     is_highest_weight,
     lower,
     weight_of,
 )
+
+# Bounds on the work of one call, each a few tenths of a second at most
+# on a 2-core x86 VM with Python 3.11.  The characters of one partition
+# of 24 take about 0.1 s (the cost grows with the partition count p(d)),
+# and decompose_symmetric_power multiplies n characters for each of the
+# p(d) cycle types of each of its (d//2 + 1)^n partition tuples.
+MAX_PARTITION_SIZE = 24
+MAX_CHARACTER_PRODUCTS = 10 ** 5
 
 
 @dataclass(frozen=True, order=True)
@@ -131,6 +143,8 @@ def invariant_dim(partitions: Sequence[Partition]) -> int:
     d = partitions[0].size
     if any(p.size != d for p in partitions):
         raise ValueError("all partitions must have the same size")
+    if d > MAX_PARTITION_SIZE:
+        raise ValueError(f"partitions of size at most {MAX_PARTITION_SIZE} only, got {d}")
     total = 0
     for lam_parts in partitions_of(d):
         lam = Partition(lam_parts)
@@ -158,7 +172,14 @@ def decompose_symmetric_power(d: int, n: int) -> list[IsotypicSummand]:
     multiplicities."""
     if d < 1 or n < 1:
         raise ValueError("d and n must be positive")
+    if d > MAX_PARTITION_SIZE:
+        raise ValueError(f"partitions of size at most {MAX_PARTITION_SIZE} only, got d={d}")
     rows = two_row_partitions(d)
+    if (n > MAX_FACTORS or len(rows) ** n * n * sum(1 for _ in partitions_of(d))
+            > MAX_CHARACTER_PRODUCTS):
+        raise ValueError(f"decomposing is bounded at n <= {MAX_FACTORS} factors and"
+                         f" (d//2 + 1)^n * n * p(d) <= {MAX_CHARACTER_PRODUCTS} character"
+                         f" products, got d={d}, n={n}")
     out = []
     for combo in product(rows, repeat=n):
         mult = invariant_dim(combo)
@@ -229,12 +250,11 @@ class WeightBasisVector(NamedTuple):
     weight: Weight
 
 
-def weight_basis(hwv: TensorPolynomial, depths: Sequence[int]) -> list[WeightBasisVector]:
+def weight_basis(hwv: TensorPolynomial) -> list[WeightBasisVector]:
     """All nonzero normalized images lower_n^(e_n) ... lower_1^(e_1)(hwv)
-    with e_k ranging over 0..depths[k-1], in odometer order (last factor
-    fastest).  The input must be a highest weight vector."""
-    if len(depths) != hwv.n:
-        raise ValueError(f"need {hwv.n} depths")
+    with e_k ranging over 0..m_k, in odometer order (last factor
+    fastest).  The input must be a highest weight vector; of weight -m_k
+    in factor k, it lowers exactly m_k times there."""
     if not is_highest_weight(hwv):
         raise ValueError("input is not a highest weight vector (raising does not annihilate)")
     # Each lowering in factor k adds 2 to weight component k.
@@ -247,7 +267,7 @@ def weight_basis(hwv: TensorPolynomial, depths: Sequence[int]) -> list[WeightBas
             out.append(WeightBasisVector(exponents, poly.normalized(), weight))
             return
         current = poly
-        for e in range(depths[factor - 1] + 1):
+        for e in range(-top[factor - 1] + 1):
             if e > 0:
                 current = lower(current, factor)
                 if current.is_zero():

@@ -55,6 +55,19 @@ def test_minors_rejects_scalars_it_cannot_write(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_minors_beyond_its_bound_exits_2(tmp_path, capsys):
+    from principal_minors.minor_map import MAX_MINOR_FACTORS
+
+    mfile, out = tmp_path / "m.json", tmp_path / "z.json"
+    write_matrix(mfile, [[1 if i == j else 0 for j in range(30)] for i in range(30)])
+    assert main(["minors", "--in", str(mfile), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: all principal minors are computed for"
+                            f" n <= {MAX_MINOR_FACTORS} only, got n=30\n")
+    assert not out.exists()
+
+
 def test_minors_identity_2x2(tmp_path):
     mfile, zfile = tmp_path / "m.json", tmp_path / "z.json"
     write_matrix(mfile, [[1, 0], [0, 1]])
@@ -273,6 +286,22 @@ def test_rep_decompose(capsys):
     assert main(["rep", "decompose", "--d", "4", "--n", "2"]) == 0
     out = capsys.readouterr().out
     assert "total dimension=35" in out
+
+
+def test_rep_multiplicity_beyond_its_bound_exits_2(capsys):
+    assert main(["rep", "multiplicity", "100"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: partitions of size at most 24 only, got 100\n"
+
+
+def test_rep_decompose_beyond_its_bounds_exits_2(capsys):
+    for d, n in ((4, 20), (100, 1), (1, 15)):
+        assert main(["rep", "decompose", "--d", str(d), "--n", str(n)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert main(["rep", "decompose", "--d", "4", "--n", "3"]) == 0
 
 
 def test_rep_lower_to_lowest(tmp_path, capsys):

@@ -260,6 +260,9 @@ MALFORMED = [
     ("polynomial", {"terms": [{"monomial": [[0, 0]], "coeff": "1/1"}]}),
     ("polynomial", {"terms": [{"monomial": [[0, 1000000]], "coeff": "1/1"}]}),
     ("polynomial", {"terms": [{"monomial": [[0, 16], [1, 16]], "coeff": "1/1"}]}),
+    # one term of 20 distinct variables: lowering it builds up to C(20, 10) terms
+    ("polynomial", {"n": 6, "terms": [{"monomial": [[enc, 1] for enc in range(0, 40, 2)],
+                                       "coeff": "1/1"}]}),
 ]
 
 

@@ -13,7 +13,6 @@ from principal_minors import (
     is_member,
     minor_vector,
     reconstruct,
-    recursive_prefilter,
     sign_flip_profile,
 )
 from principal_minors.hyperdet import cayley_hyperdet
@@ -21,10 +20,10 @@ from principal_minors.membership import (
     BasisViolation,
     MatrixCertificate,
     MinorMismatch,
-    MinorMismatchError,
     NoConsistentSigns,
-    NoConsistentSignsError,
+    NonMemberError,
     NonSquareEntryError,
+    ReconstructionError,
     SymmetrizableCertificate,
     ZeroLeadingCoordinateError,
     _spanning_forest,
@@ -196,7 +195,7 @@ def test_prefilter_accepts_members_n5():
     rng = random.Random(34)
     for _ in range(3):
         z = minor_vector(random_symmetric_matrix(5, rng), 1)
-        assert recursive_prefilter(z)
+        assert is_member(z, "prefilter").verdict == "indeterminate"
 
 
 def test_prefilter_soundness_members_always_pass():
@@ -205,14 +204,13 @@ def test_prefilter_soundness_members_always_pass():
         for _ in range(4):
             z = minor_vector(random_symmetric_matrix(n, rng), 1)
             assert is_member(z, "basis").verdict == "member"
-            assert recursive_prefilter(z)
+            assert is_member(z, "prefilter").verdict == "indeterminate"
 
 
 def test_prefilter_rejects_bad_half():
     bad_half = [1, 1, 1, 0, 1, 0, 0, 1]  # hyperdeterminant value 5
     coords = bad_half + [0] * 8  # x4^0-half holds the bad 3-factor vector
     z = MinorVector.from_values(4, coords)
-    assert not recursive_prefilter(z)
     report = is_member(z, "prefilter")
     assert report.verdict == "non-member"
     assert report.certificate.value == 5
@@ -277,18 +275,18 @@ def test_prefilter_slices_match_recursive_reference():
             else:
                 assert report.verdict == "non-member"
                 assert report.certificate.value == expected
-            assert recursive_prefilter(probe) == (expected is None)
 
 
 def test_prefilter_base_case_is_single_hyperdet():
     z = MinorVector.from_values(3, [1, 1, 1, 0, 1, 0, 0, 1])
-    assert not recursive_prefilter(z)
-    assert recursive_prefilter(MinorVector.from_values(3, [1, 1, 1, 0, 1, 0, 0, 0]))
+    assert is_member(z, "prefilter").verdict == "non-member"
+    probe = MinorVector.from_values(3, [1, 1, 1, 0, 1, 0, 0, 0])
+    assert is_member(probe, "prefilter").verdict == "indeterminate"
 
 
 def test_prefilter_zero_vector_rejected():
     with pytest.raises(ValueError):
-        recursive_prefilter(MinorVector.from_values(3, [0] * 8))
+        is_member(MinorVector.from_values(3, [0] * 8), "prefilter")
 
 
 def test_prefilter_is_necessary_not_sufficient_contract():
@@ -348,19 +346,18 @@ def test_reconstruct_detects_top_perturbation_at_verification():
     rng = random.Random(37)
     a = random_symmetric_matrix(4, rng)
     z = perturb(minor_vector(a, 1), 15)
-    with pytest.raises(MinorMismatchError) as err:
+    with pytest.raises(NonMemberError) as err:
         reconstruct(z, "exact")
-    assert err.value.encoding == 15
+    assert err.value.certificate == MinorMismatch(15, z[15], z[15] - 1)
 
 
 def test_reconstruct_rejects_perturbed_triple_with_no_sign_pattern():
-    from principal_minors.membership import NoConsistentSignsError
-
     rng = random.Random(43)
     a = random_symmetric_matrix(4, rng, nonzero_offdiag=True)
     z = perturb(minor_vector(a, 1), (1 << 0) | (1 << 1) | (1 << 2))
-    with pytest.raises(NoConsistentSignsError):
+    with pytest.raises(NonMemberError) as err:
         reconstruct(z, "exact")
+    assert isinstance(err.value.certificate, NoConsistentSigns)
 
 
 def test_reconstruct_zero_leading_coordinate():
@@ -376,7 +373,7 @@ def test_reconstruct_non_square_entry():
         reconstruct(z, "exact")
     assert (err.value.i, err.value.j, err.value.value, err.value.real) == (0, 1, 2, True)
     assert "a real one does" in str(err.value)
-    assert_symmetrizable_certificate(z, err.value.rows, 1)
+    assert_symmetrizable_certificate(z, err.value.certificate.rows, 1)
     # a_12^2 = -2: not even a real one
     z = MinorVector.from_values(2, [1, 1, 1, 3])
     with pytest.raises(NonSquareEntryError) as err:
@@ -498,12 +495,13 @@ def gauge_reconstruct(z: MinorVector):
     """reconstruct(z, "exact") in the shape of reference_reconstruct."""
     try:
         return "member", reconstruct(z, "exact")
-    except NonSquareEntryError:
-        return "non-square", None
-    except NoConsistentSignsError:
-        return "no-consistent-signs", None
-    except MinorMismatchError as err:
-        return "minor-mismatch", (err.encoding, err.expected, err.actual)
+    except ReconstructionError as err:
+        cert = err.certificate
+        if isinstance(cert, SymmetrizableCertificate):
+            return "non-square", None
+        if isinstance(cert, NoConsistentSigns):
+            return "no-consistent-signs", None
+        return "minor-mismatch", (cert.encoding, cert.expected, cert.actual)
 
 
 def principal_minors_of(rows) -> list:
@@ -636,11 +634,12 @@ def test_gauge_solve_dense_n8():
     z = minor_vector(a, 1)
     b = reconstruct(z, "exact")
     assert _is_sign_conjugate(a, b) and all(b[0, j] > 0 for j in range(1, 8))
-    with pytest.raises(MinorMismatchError) as err:
+    with pytest.raises(NonMemberError) as err:
         reconstruct(perturb(z, 255, 3), "exact")
-    assert (err.value.encoding, err.value.expected, err.value.actual) == (255, z[255] + 3, z[255])
-    with pytest.raises(NoConsistentSignsError):
+    assert err.value.certificate == MinorMismatch(255, z[255] + 3, z[255])
+    with pytest.raises(NonMemberError) as err:
         reconstruct(perturb(z, 0b1011000, 3), "exact")
+    assert isinstance(err.value.certificate, NoConsistentSigns)
 
 
 # vertex count and edges of graphs whose cycles are not all triangles

@@ -203,23 +203,23 @@ def test_lower_to_lowest_rejects_zero():
 # -- weight basis ------------------------------------------------------
 
 def test_weight_basis_standard_module():
-    out = weight_basis(X(1, 0), [1])
+    out = weight_basis(X(1, 0))
     assert [v.polynomial for v in out] == [X(1, 0), X(1, 1)]
     assert [v.weight for v in out] == [(-1,), (1,)]
 
 
 def test_weight_basis_hyperdet_box_sizes():
     hd4 = cayley_hyperdet(4, (1, 2, 3))
-    out = weight_basis(hd4, [0, 0, 0, 4])
+    out = weight_basis(hd4)
     assert len(out) == 5
     hd5 = cayley_hyperdet(5, (1, 2, 3))
-    out5 = weight_basis(hd5, [0, 0, 0, 4, 4])
+    out5 = weight_basis(hd5)
     assert len(out5) == 25
 
 
 def test_weight_basis_distinct_weights_within_summand():
     hd5 = cayley_hyperdet(5, (1, 2, 3))
-    out5 = weight_basis(hd5, [0, 0, 0, 4, 4])
+    out5 = weight_basis(hd5)
     weights = [v.weight for v in out5]
     assert len(set(weights)) == len(weights)
 
@@ -227,10 +227,10 @@ def test_weight_basis_distinct_weights_within_summand():
 def test_weight_basis_rejects_non_highest_weight():
     p = lower(cayley_hyperdet(4, (1, 2, 3)), 4)
     with pytest.raises(ValueError):
-        weight_basis(p, [0, 0, 0, 4])
+        weight_basis(p)
 
 
 def test_weight_basis_normalization_is_idempotent():
     hd4 = cayley_hyperdet(4, (1, 2, 3))
-    for vec in weight_basis(hd4, [0, 0, 0, 4]):
+    for vec in weight_basis(hd4):
         assert vec.polynomial.normalized() == vec.polynomial
