@@ -11,7 +11,9 @@ to C(d, d/2) terms, so one degree-12 term takes about 0.05 s in `pminors
 rep lower-to-lowest` and one of degree 20 about 30 s (2-core x86 VM,
 Python 3.11).  Rationals are written as reduced "p/q" strings with q > 0
 and read from such strings or JSON integers; booleans and floats are
-rejected for both.  Minor vectors carry the explicit "order":
+rejected for both.  Matrices are read as rationals only: a complex
+matrix document, numeric `reconstruct`'s rendering, is written but never
+read back.  Minor vectors carry the explicit "order":
 "lsb-factor-1" marker (factor 1 = least significant bit of the
 coordinate position).  A certificate is "type" plus one key per field
 of its dataclass in membership.py.
@@ -73,17 +75,10 @@ def _scalar_in(value: Any) -> Scalar:
         raise DocumentError(f"bad rational {value!r}: {err}") from err
 
 
-def _complex_in(value: Any) -> complex:
-    if (not isinstance(value, list) or len(value) != 2
-            or any(type(part) not in (int, float) for part in value)):
-        raise DocumentError(f"expected a [real, imag] pair, got {value!r}")
-    return complex(*value)
-
-
-def _rows_in(rows: Any, read: Callable) -> tuple[tuple, ...]:
+def _rows_in(rows: Any) -> tuple[tuple[Scalar, ...], ...]:
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise DocumentError(f"expected a list of rows, got {rows!r}")
-    return tuple(tuple(read(v) for v in row) for row in rows)
+    return tuple(tuple(_scalar_in(v) for v in row) for row in rows)
 
 
 def dumps(obj: dict) -> str:
@@ -128,14 +123,15 @@ def matrix_document(matrix: SymmetricMatrix) -> dict:
 def parse_matrix_document(obj: dict) -> SymmetricMatrix:
     obj = _expect(obj, "matrix")
     n = _int_in(obj.get("n"), "n", 1)
-    scalar_type = obj.get("scalar_type", "rational")
-    read = {"rational": _scalar_in, "complex": _complex_in}.get(
-        _str_in(scalar_type, "scalar_type"))
-    if read is None:
+    scalar_type = _str_in(obj.get("scalar_type", "rational"), "scalar_type")
+    if scalar_type == "complex":
+        raise DocumentError("complex matrix documents are written, not read:"
+                            " their entries are not exact")
+    if scalar_type != "rational":
         raise DocumentError(f"unknown scalar_type {scalar_type!r}")
     try:
-        return SymmetricMatrix(n, _rows_in(obj.get("entries"), read))
-    except (ValueError, TypeError, OverflowError) as err:
+        return SymmetricMatrix(n, _rows_in(obj.get("entries")))
+    except (ValueError, TypeError) as err:
         raise DocumentError(f"bad matrix document: {err}") from err
 
 
@@ -285,7 +281,7 @@ _FIELD_CODECS: dict[str, tuple[Callable, Callable]] = {
     "Scalar": (scalar_str, _scalar_in),
     "SymmetricMatrix": (lambda m: matrix_document(m), lambda v: parse_matrix_document(v)),
     "tuple[tuple[Scalar, ...], ...]": (lambda rows: [[scalar_str(v) for v in row] for row in rows],
-                                       lambda v: _rows_in(v, _scalar_in)),
+                                       _rows_in),
 }
 
 

@@ -2,9 +2,8 @@
 
 Determinants use fraction-free Bareiss elimination (exact division at
 every step, polynomial bit growth) with direct cofactor formulas for
-sizes up to 3.  A complex floating variant checks matrices written in
-complex floats (the numeric reconstruction mode); nothing in the
-algebraic core touches floats.
+sizes up to 3.  Nothing here touches floats: complex floats are only
+the rendering of numeric `reconstruct`'s exact answer.
 """
 
 from __future__ import annotations
@@ -22,8 +21,8 @@ class SingularMatrixError(ValueError):
 
 @dataclass(frozen=True)
 class SymmetricMatrix:
-    """An n x n symmetric matrix; entries are exact scalars (or complex
-    floats in the numeric reconstruction variant)."""
+    """An n x n symmetric matrix; entries are exact scalars (complex
+    floats only as numeric `reconstruct` renders its answer)."""
 
     n: int
     entries: tuple[tuple[Scalar, ...], ...]
@@ -159,25 +158,3 @@ def _bareiss(rows: list[list[Scalar]]) -> Scalar:
     if isinstance(result, Fraction) and result.denominator == 1:
         return result.numerator
     return result
-
-
-def det_complex(rows: list[list[complex]]) -> complex:
-    """LU determinant with partial pivoting, for complex float matrices."""
-    m = [list(map(complex, r)) for r in rows]
-    n = len(m)
-    if n == 0:
-        return 1.0 + 0.0j
-    det = 1.0 + 0.0j
-    for k in range(n):
-        pivot = max(range(k, n), key=lambda r: abs(m[r][k]))
-        if m[pivot][k] == 0:
-            return 0.0j
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            det = -det
-        det *= m[k][k]
-        for i in range(k + 1, n):
-            f = m[i][k] / m[k][k]
-            for j in range(k + 1, n):
-                m[i][j] -= f * m[k][j]
-    return det

@@ -10,7 +10,7 @@ n <= MAX_MINOR_FACTORS.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .indices import BinaryIndex, MinorVector
 from .matrices import SingularMatrixError, SymmetricMatrix, det_exact
@@ -34,13 +34,12 @@ def _principal_submatrix(rows: Sequence[Sequence], enc: int) -> list[list]:
     return [[rows[i][j] for j in keep] for i in keep]
 
 
-def all_principal_minors(rows: Sequence[Sequence], det: Callable) -> Iterator:
-    """All 2^n principal minors of rows in encoding order, each taken
-    with det (`det_exact` for exact scalars, `det_complex` to check a
-    matrix in complex floats).  rows need not be symmetric.  Lazy: a
-    caller that stops at the first mismatch takes no further
-    determinants."""
-    return (det(_principal_submatrix(rows, enc)) for enc in range(1 << len(rows)))
+def all_principal_minors(rows: Sequence[Sequence]) -> Iterator[Scalar]:
+    """All 2^n principal minors of exact rows in encoding order, each by
+    `det_exact` looked up here at call time, so a patch of
+    `minor_map.det_exact` sees every one.  rows need not be symmetric.
+    Lazy: a caller that stops at the first mismatch takes no more."""
+    return (det_exact(_principal_submatrix(rows, enc)) for enc in range(1 << len(rows)))
 
 
 def minor_vector(matrix: SymmetricMatrix, t=1) -> MinorVector:
@@ -52,7 +51,7 @@ def minor_vector(matrix: SymmetricMatrix, t=1) -> MinorVector:
         raise ValueError(f"all principal minors are computed for n <= {MAX_MINOR_FACTORS}"
                          f" only, got n={n}")
     coords = []
-    for enc, value in enumerate(all_principal_minors(matrix.entries, det_exact)):
+    for enc, value in enumerate(all_principal_minors(matrix.entries)):
         power = n - bin(enc).count("1")
         if t != 1:
             value = value * t**power
@@ -77,7 +76,7 @@ def tensor_product(z1: MinorVector, z2: MinorVector) -> MinorVector:
 def reversed_minors(matrix: SymmetricMatrix) -> MinorVector:
     """Minor vector of A^(-1), computed without inverting: coordinate at
     I is det(A_complement(I)) / det(A)."""
-    minors = list(all_principal_minors(matrix.entries, det_exact))
+    minors = list(all_principal_minors(matrix.entries))
     full = len(minors) - 1
     d = minors[full]
     if d == 0:

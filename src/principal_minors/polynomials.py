@@ -210,7 +210,14 @@ class TensorPolynomial:
             return self
         denom = lcm(*(c.denominator for c in self._terms.values()))
         content = gcd(*(c.numerator * (denom // c.denominator) for c in self._terms.values()))
-        if self._terms[max(self._terms, key=grlex_key)] < 0:
+        # Graded-lex compares the degree, then the lowest encoding (the
+        # lowest field); every field is at least 1, so the degree is
+        # ceil(bit_length / FIELD_BITS).  Only ties on both run grlex_key.
+        prefix = {k: (k.bit_length() + FIELD_BITS - 1) // FIELD_BITS << FIELD_BITS
+                  | k & FIELD_MASK for k in self._terms}
+        top = max(prefix.values())
+        leading = max((k for k, p in prefix.items() if p == top), key=grlex_key)
+        if self._terms[leading] < 0:
             content = -content
         return TensorPolynomial(self.n, {k: c * denom // content for k, c in self._terms.items()})
 

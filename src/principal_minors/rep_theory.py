@@ -4,10 +4,10 @@ Characters come from the Murnaghan-Nakayama rule over beta-numbers;
 multiplicities of tensor products of Schur modules inside symmetric
 powers are class-size-weighted character sums.  The lowering machinery
 turns a single highest weight polynomial into a full weight basis of
-its irreducible module.  Multiplicities take partitions of size at most
-MAX_PARTITION_SIZE, and a decomposition at most MAX_FACTORS factors and
-MAX_CHARACTER_PRODUCTS character products; beyond them a ValueError is
-raised.
+its irreducible module.  Multiplicities take at most MAX_FACTORS
+partitions of size at most MAX_PARTITION_SIZE, and a decomposition at
+most MAX_FACTORS factors and MAX_CHARACTER_PRODUCTS character products;
+beyond them a ValueError is raised.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from .polynomials import (
 # on a 2-core x86 VM with Python 3.11.  The characters of one partition
 # of 24 take about 0.1 s (the cost grows with the partition count p(d)),
 # and decompose_symmetric_power multiplies n characters for each of the
-# p(d) cycle types of each of its (d//2 + 1)^n partition tuples.
+# p(d) cycle types of each of its (d//2 + 1)^n partition tuples.  A
+# multiplicity of MAX_FACTORS partitions of 24 prints about 130 digits.
 MAX_PARTITION_SIZE = 24
 MAX_CHARACTER_PRODUCTS = 10 ** 5
 
@@ -140,6 +141,8 @@ def invariant_dim(partitions: Sequence[Partition]) -> int:
     product of characters, computed over cycle types with class sizes."""
     if not partitions:
         raise ValueError("need at least one partition")
+    if len(partitions) > MAX_FACTORS:
+        raise ValueError(f"at most {MAX_FACTORS} partitions only, got {len(partitions)}")
     d = partitions[0].size
     if any(p.size != d for p in partitions):
         raise ValueError("all partitions must have the same size")

@@ -33,6 +33,14 @@ def laplace_det(rows):
     return total
 
 
+def laplace_minors(rows):
+    """All 2^n principal minors of rows in encoding order, each by
+    laplace_det; works for exact scalars and complex floats alike."""
+    n = len(rows)
+    return [laplace_det([[rows[i][j] for j in range(n) if enc >> j & 1]
+                         for i in range(n) if enc >> i & 1]) for enc in range(1 << n)]
+
+
 def cycle_type_of(perm):
     """Cycle type of a permutation given as a tuple of images."""
     seen = [False] * len(perm)

@@ -295,6 +295,18 @@ def test_rep_multiplicity_beyond_its_bound_exits_2(capsys):
     assert captured.err == "error: partitions of size at most 24 only, got 100\n"
 
 
+def test_rep_multiplicity_tuple_beyond_its_bound_exits_2(capsys):
+    from principal_minors.rep_theory import partitions_of
+    assert main(["rep", "multiplicity", ";".join(["2,2"] * 14)]) == 0
+    assert capsys.readouterr().out == "2731\n"
+    every_24 = ";".join(",".join(map(str, parts)) for parts in partitions_of(24))
+    for arg in (";".join(["2,2"] * 15), every_24):
+        assert main(["rep", "multiplicity", arg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 def test_rep_decompose_beyond_its_bounds_exits_2(capsys):
     for d, n in ((4, 20), (100, 1), (1, 15)):
         assert main(["rep", "decompose", "--d", str(d), "--n", str(n)]) == 2

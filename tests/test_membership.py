@@ -28,13 +28,13 @@ from principal_minors.membership import (
     ZeroLeadingCoordinateError,
     _spanning_forest,
 )
-from principal_minors.matrices import det_complex, det_exact
+from principal_minors.matrices import det_exact
 from principal_minors.minor_map import all_principal_minors
 from principal_minors.polynomials import GroupElement, act_point, evaluate
 from principal_minors.sampling import random_special_element, random_symmetric_matrix
 from principal_minors.scalars import normalize, sqrt_exact
 
-from conftest import laplace_det, symmetric_rows_strategy
+from conftest import laplace_det, laplace_minors, symmetric_rows_strategy
 
 TRIDIAGONAL = SymmetricMatrix.from_rows(
     [[1, 1, 0, 0], [1, 2, 1, 0], [0, 1, 3, 1], [0, 0, 1, 4]]
@@ -394,7 +394,7 @@ def test_reconstruct_numeric_complex_entries():
     with pytest.raises(NonSquareEntryError):
         reconstruct(z, "exact")
     b = reconstruct(z, "numeric")
-    minors = all_principal_minors(b.entries, det_complex)
+    minors = laplace_minors(b.entries)
     for got, want in zip(minors, z.coords):
         assert abs(got - complex(want)) < 1e-8
 
@@ -404,7 +404,7 @@ def test_reconstruct_numeric_round_trip():
     a = random_symmetric_matrix(4, rng)
     z = minor_vector(a, 1)
     b = reconstruct(z, "numeric")
-    minors = all_principal_minors(b.entries, det_complex)
+    minors = laplace_minors(b.entries)
     for got, want in zip(minors, z.coords):
         assert abs(got - complex(want)) < 1e-7
 
@@ -416,7 +416,7 @@ def test_reconstruct_numeric_tolerance_is_relative():
     for _ in range(5):
         z = minor_vector(random_symmetric_matrix(7, rng), 1)
         b = reconstruct(z, "numeric")
-        minors = all_principal_minors(b.entries, det_complex)
+        minors = laplace_minors(b.entries)
         for got, want in zip(minors, z.coords):
             assert abs(got - want) <= 1e-9 * max(1, abs(want))
 
@@ -480,7 +480,7 @@ def reference_reconstruct(z: MinorVector):
                 break
         else:
             mismatch = next(((enc, w[enc], value)
-                             for enc, value in enumerate(all_principal_minors(rows, det_exact))
+                             for enc, value in enumerate(all_principal_minors(rows))
                              if value != w[enc]), None)
             if mismatch is None:
                 return "member", SymmetricMatrix.from_rows(rows)
@@ -504,12 +504,6 @@ def gauge_reconstruct(z: MinorVector):
         return "minor-mismatch", (cert.encoding, cert.expected, cert.actual)
 
 
-def principal_minors_of(rows) -> list:
-    n = len(rows)
-    return [laplace_det([[rows[i][j] for j in range(n) if enc >> j & 1]
-                         for i in range(n) if enc >> i & 1]) for enc in range(1 << n)]
-
-
 def normalized(z: MinorVector) -> list:
     return [Fraction(c) / z[0] for c in z.coords]
 
@@ -525,7 +519,7 @@ def assert_symmetrizable_certificate(z: MinorVector, rows, scale):
     rational q (then D = diag(sqrt(q)) symmetrizes it), which holds
     exactly when forward and backward products agree on every cycle."""
     n = z.n
-    assert [scale * m for m in principal_minors_of(rows)] == list(z.coords)
+    assert [scale * m for m in laplace_minors(rows)] == list(z.coords)
     w = normalized(z)
     q = [None] * n
     for root in range(n):
@@ -722,7 +716,7 @@ def test_dmd_members_are_decided():
             reconstruct(z, "exact")
         assert not err.value.real  # a_13^2 = 2 * (-1) * m_13^2 < 0
         b = reconstruct(z, "numeric")
-        for got, want in zip(all_principal_minors(b.entries, det_complex), normalized(z)):
+        for got, want in zip(laplace_minors(b.entries), normalized(z)):
             assert abs(got - complex(want)) <= 1e-9 * max(1, abs(want))
         # positive q: a real symmetric matrix, still no rational one
         with pytest.raises(NonSquareEntryError) as err:
@@ -780,24 +774,15 @@ def test_sign_flip_size_limit():
 def brute_force_sign_flip(a: SymmetricMatrix) -> dict[int, int]:
     """Histogram over all 2^C(n,2) sign patterns, minors by Laplace
     expansion."""
-    n = a.n
-
-    def minors(rows):
-        out = []
-        for enc in range(1 << n):
-            keep = [k for k in range(n) if (enc >> k) & 1]
-            out.append(laplace_det([[rows[i][j] for j in keep] for i in keep]))
-        return out
-
-    pairs = list(combinations(range(n), 2))
-    base = minors(a.rows())
+    pairs = list(combinations(range(a.n), 2))
+    base = laplace_minors(a.rows())
     histogram: dict[int, int] = {}
     for mask in range(1 << len(pairs)):
         rows = a.rows()
         for bit, (i, j) in enumerate(pairs):
             if (mask >> bit) & 1:
                 rows[i][j], rows[j][i] = -rows[i][j], -rows[j][i]
-        agree = sum(got == want for got, want in zip(minors(rows), base))
+        agree = sum(got == want for got, want in zip(laplace_minors(rows), base))
         histogram[agree] = histogram.get(agree, 0) + 1
     return histogram
 

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +26,7 @@ from principal_minors import (
     tensor_product,
     weight_of,
 )
-from principal_minors.polynomials import apply_factor_matrix
+from principal_minors.polynomials import FIELD_MASK, apply_factor_matrix, grlex_key
 from principal_minors.sampling import random_special_element
 
 X = TensorPolynomial.variable
@@ -85,6 +85,33 @@ def test_repeated_encoding_is_one_monomial():
     assert list(p.terms()) == [(((0, 2),), 1)]
     mixed = TensorPolynomial.from_terms(2, [([(3, 1), (0, 2), (3, 1)], 1)])
     assert mixed == X(2, 0) ** 2 * X(2, 3) ** 2
+
+
+def test_normalized_sign_follows_the_graded_lex_leading_term():
+    # reference: the full graded-lex max over every key; normalized
+    # narrows it to the keys with the largest (degree, lowest encoding)
+    rng = random.Random(61)
+    ties = 0
+    for n in range(1, 6):
+        for _ in range(80):
+            pool = rng.sample(range(1 << n), min(3, 1 << n))
+            terms = [([(rng.choice(pool), rng.randint(1, 2)) for _ in range(rng.randint(0, 3))],
+                      Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+                     for _ in range(rng.randint(1, 12))]
+            poly = TensorPolynomial.from_terms(n, terms)
+            if poly.is_zero():
+                continue
+            coeffs = poly._terms
+            lead = max(coeffs, key=grlex_key)
+            ties += sum(1 for k in coeffs if k != lead and grlex_key(k)[0] == grlex_key(lead)[0]
+                        and k & FIELD_MASK == lead & FIELD_MASK)
+            q = poly.normalized()._terms
+            assert q.keys() == coeffs.keys()
+            assert q[lead] > 0
+            assert all(q[k] * coeffs[lead] == q[lead] * c for k, c in coeffs.items())
+            assert all(Fraction(c).denominator == 1 for c in q.values())
+            assert gcd(*(int(c) for c in q.values())) == 1
+    assert ties > 20  # the narrowed set often keeps several keys
 
 
 def test_exponents_are_unbounded_but_positive():
