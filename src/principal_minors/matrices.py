@@ -1,18 +1,19 @@
 """Symmetric matrices over exact rationals and exact determinants.
 
-Determinants use fraction-free Bareiss elimination (exact division at
-every step, polynomial bit growth) with direct cofactor formulas for
-sizes up to 3.  Nothing here touches floats: complex floats are only
-the rendering of numeric `reconstruct`'s exact answer.
+Determinants use cofactor formulas up to size 3 and, above, Bareiss
+elimination on integer rows only (`det_exact` clears denominators once
+per row).  Nothing here touches floats: complex floats are only the
+rendering of numeric `reconstruct`'s exact answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 from typing import Sequence
 
-from .scalars import Scalar, as_scalar
+from .scalars import Scalar, as_scalar, normalize
 
 
 class SingularMatrixError(ValueError):
@@ -111,7 +112,9 @@ class SymmetricMatrix:
 
 
 def det_exact(rows: list[list[Scalar]]) -> Scalar:
-    """Exact determinant; Bareiss for size >= 4, cofactors below."""
+    """Exact determinant of a matrix of ints and Fractions: cofactors below
+    size 4, else integer Bareiss on rows i scaled by the lcm d_i of their
+    denominators, with det = det(scaled) / prod(d_i)."""
     n = len(rows)
     if n == 0:
         return 1
@@ -124,37 +127,31 @@ def det_exact(rows: list[list[Scalar]]) -> Scalar:
         d, e, f = rows[1]
         g, h, i = rows[2]
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    return _bareiss(rows)
+    if all(type(v) is int for row in rows for v in row):
+        return _bareiss(rows)
+    scales = [lcm(*[v.denominator for v in row]) for row in rows]
+    scaled = [[v.numerator * (d // v.denominator) for v in row] for row, d in zip(rows, scales)]
+    return normalize(Fraction(_bareiss(scaled), prod(scales)))
 
 
-def _bareiss(rows: list[list[Scalar]]) -> Scalar:
-    # Fraction-free elimination: m[i][j] <- (m[i][j]*pivot - m[i][k]*m[k][j]) / prev,
-    # where the division is exact over any integral domain.
+def _bareiss(rows: list[list[int]]) -> int:
+    # Fraction-free elimination: m[i][j] <- (m[i][j]*pivot - m[i][k]*m[k][j]) // prev,
+    # where the division is exact; column k is never read again.  A row swap
+    # negates one of the two rows, which keeps the determinant.
     m = [list(r) for r in rows]
     n = len(m)
-    sign = 1
     prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
             swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
             if swap is None:
                 return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pivot = m[k][k]
+            m[k], m[swap] = m[swap], [-v for v in m[k]]
+        pivot, row_k = m[k][k], m[k]
         for i in range(k + 1, n):
-            row_i, row_k = m[i], m[k]
+            row_i = m[i]
             lead = row_i[k]
-            if isinstance(pivot, int) and isinstance(prev, int):
-                for j in range(k + 1, n):
-                    num = row_i[j] * pivot - lead * row_k[j]
-                    row_i[j] = num // prev if isinstance(num, int) else num / prev
-            else:
-                for j in range(k + 1, n):
-                    row_i[j] = (row_i[j] * pivot - lead * row_k[j]) / prev
-            row_i[k] = 0
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
         prev = pivot
-    result = sign * m[n - 1][n - 1]
-    if isinstance(result, Fraction) and result.denominator == 1:
-        return result.numerator
-    return result
+    return m[n - 1][n - 1]

@@ -446,6 +446,18 @@ def reconstruct(z: MinorVector, mode: str = "exact") -> SymmetricMatrix:
 
 # -- slice prefilter ---------------------------------------------------
 
+def _slices(n: int, count: int, start: int = 0, base: int = 0, fixed: int = 0):
+    """(base, fixed) bitmasks of the slices that fix count more factors
+    from start up, yielded lazily in sorted order of their (factor, bit)
+    pairs: factor f ascending, then its bit, then the factors above f."""
+    if count == 0:
+        yield base, fixed
+        return
+    for factor in range(start, n - count + 1):
+        for bit in (0, 1):
+            yield from _slices(n, count - 1, factor + 1, base | bit << factor, fixed | 1 << factor)
+
+
 def _prefilter_violation(z: MinorVector) -> Optional[Scalar]:
     """First nonzero 2x2x2 hyperdeterminant over the C(n,3) * 2^(n-3)
     slices that fix every factor outside a triple to 0 or 1, visited in
@@ -455,15 +467,8 @@ def _prefilter_violation(z: MinorVector) -> Optional[Scalar]:
     if n < 3:
         return None
     hyperdet = cayley_hyperdet(3, (1, 2, 3))
-    slices = sorted(
-        tuple(zip(fixed, bits))
-        for fixed in combinations(range(n), n - 3)
-        for bits in product((0, 1), repeat=n - 3)
-    )
-    for pairs in slices:
-        base = sum(bit << factor for factor, bit in pairs)
-        fixed = {factor for factor, _ in pairs}
-        i, j, k = (factor for factor in range(n) if factor not in fixed)
+    for base, fixed in _slices(n, n - 3):
+        i, j, k = (factor for factor in range(n) if not fixed >> factor & 1)
         coords = [z.coords[base | bk << k | bj << j | bi << i]
                   for bk, bj, bi in product((0, 1), repeat=3)]
         value = evaluate(hyperdet, coords)

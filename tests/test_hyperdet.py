@@ -23,6 +23,7 @@ from principal_minors.documents import basis_digest
 from principal_minors.sampling import random_symmetric_matrix
 
 GOLDEN_N4_DIGEST = "sha256:c93bf807aca4926a00eb25a9c46f3e8c26335a70b54852addc28ad0221794825"
+GOLDEN_N5_DIGEST = "sha256:14ee0386e43f4975f44dca40e4a4ef4a127598a236559a592b15e03268dd49d5"
 
 
 def test_cayley_two_corner_evaluation():
@@ -170,6 +171,12 @@ def _rank(rows):
 
 def test_golden_digest_n4():
     assert basis_digest(hd_basis(4)) == GOLDEN_N4_DIGEST
+
+
+def test_golden_digest_n5():
+    # n=6 is not pinned here: rendering its 759,040 terms for the digest
+    # takes several times as long as building the basis.
+    assert basis_digest(hd_basis(5)) == GOLDEN_N5_DIGEST
 
 
 def test_split_weights_of_lowest_weight_hyperdet():

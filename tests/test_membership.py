@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -214,6 +215,19 @@ def test_prefilter_rejects_bad_half():
     report = is_member(z, "prefilter")
     assert report.verdict == "non-member"
     assert report.certificate.value == 5
+
+
+def test_prefilter_visits_slices_lazily():
+    # all C(9,3) * 2^6 = 5376 slice keys, built and sorted up front,
+    # peaked at about 2.2 MB; the lazy walk holds one slice at a time
+    z = minor_vector(random_symmetric_matrix(9, random.Random(36)), 1)
+    tracemalloc.start()
+    try:
+        assert is_member(z, "prefilter").verdict == "indeterminate"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256_000
 
 
 def reference_prefilter_violation(z: MinorVector):
