@@ -24,6 +24,7 @@ from .membership import (
     EXIT_USAGE,
     NonMemberError,
     NonSquareEntryError,
+    check_sign_flip_size,
     is_member,
     reconstruct,
     sign_flip_profile,
@@ -153,6 +154,7 @@ def _cmd_rep_lower(args) -> int:
 def _cmd_experiment_sign_flip(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    check_sign_flip_size(args.n)  # before sampling an n x n matrix
     rng = random.Random(args.seed)
     full = 1 << args.n
     for trial in range(args.trials):

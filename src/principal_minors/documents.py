@@ -5,7 +5,8 @@ serialized canonically (sorted keys, fixed separators) so identical data
 yields byte-identical files.  Each value kind has one writer and one
 reader.  Integers are JSON integers with a lower bound (n >= 1;
 polynomial exponents >= 1; encodings, basis exponents and chart_moves
->= 0).  A polynomial document's monomials have total degree at most
+>= 0).  A polynomial document's n is at most polynomials.MAX_FACTORS,
+checked before any 2^n is built, and its monomials have total degree at most
 MAX_DOCUMENT_DEGREE: lowering one term of d distinct variables builds up
 to C(d, d/2) terms, so one degree-12 term takes about 0.05 s in `pminors
 rep lower-to-lowest` and one of degree 20 about 30 s (2-core x86 VM,

@@ -545,6 +545,12 @@ def is_member(z: MinorVector, method: str = "basis") -> MembershipReport:
 MAX_SIGN_FLIP_FACTORS = 6
 
 
+def check_sign_flip_size(n: int) -> None:
+    if n > MAX_SIGN_FLIP_FACTORS:
+        raise ValueError(f"size too large: 2^(n(n-1)/2) patterns beyond"
+                         f" n={MAX_SIGN_FLIP_FACTORS}")
+
+
 @dataclass(frozen=True)
 class SignFlipProfile:
     n: int
@@ -569,9 +575,7 @@ def sign_flip_profile(matrix: SymmetricMatrix) -> SignFlipProfile:
     counts for its whole class.
     """
     n = matrix.n
-    if n > MAX_SIGN_FLIP_FACTORS:
-        raise ValueError(f"size too large: 2^(n(n-1)/2) patterns beyond"
-                         f" n={MAX_SIGN_FLIP_FACTORS}")
+    check_sign_flip_size(n)
     base = minor_vector(matrix, 1).coords
     free_pairs = list(combinations(range(1, n), 2))
     class_size = 1 << (n - 1)

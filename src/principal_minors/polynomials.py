@@ -35,6 +35,11 @@ MAX_FACTORS = FIELD_BITS - 1
 Weight = tuple[int, ...]
 
 
+def _check_factor_count(n: int) -> None:
+    if not 1 <= n <= MAX_FACTORS:
+        raise ValueError(f"factor count must be in 1..{MAX_FACTORS}")
+
+
 def pack_monomial(encodings: Iterable[int]) -> int:
     """The key of the monomial with these factor encodings, in any order."""
     key = 0
@@ -69,8 +74,7 @@ class TensorPolynomial:
     __slots__ = ("n", "_terms")
 
     def __init__(self, n: int, terms: dict[int, Scalar] | None = None):
-        if not 1 <= n <= MAX_FACTORS:
-            raise ValueError(f"factor count must be in 1..{MAX_FACTORS}")
+        _check_factor_count(n)
         object.__setattr__(self, "n", n)
         clean: dict[int, Scalar] = {}
         if terms:
@@ -105,11 +109,13 @@ class TensorPolynomial:
                    ) -> "TensorPolynomial":
         """The sum of coeff * prod (X^enc)^exp over each term's (encoding,
         exponent) pairs; one encoding may appear in several pairs."""
+        _check_factor_count(n)  # before 1 << n, which a huge n cannot build
+        size = 1 << n
         acc: dict[int, Scalar] = {}
         for pairs, coeff in terms:
             encodings = []
             for enc, exp in pairs:
-                if not 0 <= enc < (1 << n):
+                if not 0 <= enc < size:
                     raise ValueError(f"encoding {enc} out of range for n={n}")
                 if exp < 1:
                     raise ValueError(f"exponent {exp} must be at least 1")

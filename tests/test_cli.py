@@ -386,6 +386,19 @@ def test_experiment_sign_flip_rejects_nonpositive_trials(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_experiment_sign_flip_checks_its_bound_before_sampling(monkeypatch, capsys):
+    from principal_minors import cli
+    from principal_minors.membership import MAX_SIGN_FLIP_FACTORS
+
+    def sample(*args, **kwargs):
+        raise AssertionError("sampled a matrix beyond the bound")
+
+    monkeypatch.setattr(cli, "random_symmetric_matrix", sample)
+    assert main(["experiment", "sign-flip", "--n", str(MAX_SIGN_FLIP_FACTORS + 1)]) == 2
+    assert capsys.readouterr().err == ("error: size too large: 2^(n(n-1)/2) patterns beyond"
+                                       f" n={MAX_SIGN_FLIP_FACTORS}\n")
+
+
 def test_cli_entry_point_runs(tmp_path):
     import subprocess
     import sys

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
 
@@ -39,6 +40,7 @@ from principal_minors.membership import (
     PrefilterViolation,
     SymmetrizableCertificate,
 )
+from principal_minors.polynomials import MAX_FACTORS
 
 
 def test_matrix_round_trip_rational():
@@ -78,6 +80,21 @@ def test_rational_strings_are_reduced_with_positive_denominator():
 def test_polynomial_round_trip():
     p = cayley_hyperdet(4, (1, 2, 3))
     assert parse_polynomial_document(loads(dumps(polynomial_document(p)))) == p
+
+
+def test_polynomial_document_beyond_the_factor_bound_is_rejected_before_1_shl_n():
+    # 1 << n alone takes 125 MB at n = 10**9
+    doc = {"kind": "polynomial", "schema_version": 1, "n": 10 ** 9,
+           "terms": [{"monomial": [[0, 1]], "coeff": "1/1"}]}
+    tracemalloc.start()
+    try:
+        with pytest.raises(DocumentError) as err:
+            parse_polynomial_document(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == f"bad polynomial document: factor count must be in 1..{MAX_FACTORS}"
+    assert peak < 100_000
 
 
 def test_basis_round_trip_with_digest_check():
