@@ -10,6 +10,7 @@ prefilter) or no rational symmetric matrix (reconstruct --mode exact).
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from pathlib import Path
@@ -39,7 +40,7 @@ from .rep_theory import (
     sl2_dim,
 )
 from .sampling import random_symmetric_matrix
-from .scalars import as_scalar, scalar_str
+from .scalars import scalar_from_str, scalar_str
 
 
 def _read_document(path: str) -> dict:
@@ -58,7 +59,7 @@ def _write_document(path: str, obj: dict):
 
 def _cmd_minors(args) -> int:
     matrix = documents.parse_matrix_document(_read_document(args.infile))
-    t = as_scalar(args.t)
+    t = scalar_from_str(args.t)
     z = minor_vector(matrix, t)
     _write_document(args.out, documents.minors_document(z))
     print(f"n={z.n} coords={1 << z.n}")
@@ -174,6 +175,7 @@ def _cmd_experiment_sign_flip(args) -> int:
     return EXIT_MEMBER
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pminors",
@@ -184,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("minors", help="compute the length-2^n minor vector of a matrix")
     p.add_argument("--in", dest="infile", required=True, help="matrix document")
     p.add_argument("--out", required=True, help="minors document to write")
-    p.add_argument("--t", default="1", help="homogenizing scalar t (rational, default 1)")
+    p.add_argument("--t", default="1", help="homogenizing scalar t, as p/q or p (default 1)")
     p.set_defaults(func=_cmd_minors)
 
     p = sub.add_parser("check", help="decide whether a vector is a vector of principal minors")

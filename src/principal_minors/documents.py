@@ -11,10 +11,11 @@ MAX_DOCUMENT_DEGREE: lowering one term of d distinct variables builds up
 to C(d, d/2) terms, so one degree-12 term takes about 0.05 s in `pminors
 rep lower-to-lowest` and one of degree 20 about 30 s (2-core x86 VM,
 Python 3.11).  Rationals are written as reduced "p/q" strings with q > 0
-and read from such strings or JSON integers; booleans and floats are
-rejected for both.  Matrices are read as rationals only: a complex
-matrix document, numeric `reconstruct`'s rendering, is written but never
-read back.  Minor vectors carry the explicit "order":
+and read from JSON integers or from strings in exactly the grammar
+-?[0-9]+(/[0-9]+)? with q >= 1 (scalars.scalar_from_str); booleans,
+floats, decimals, exponents and every other spelling are rejected.
+Matrices are read as rationals only: a complex matrix document, numeric
+`reconstruct`'s rendering, is written but never read back.  Minor vectors carry the explicit "order":
 "lsb-factor-1" marker (factor 1 = least significant bit of the
 coordinate position).  A certificate is "type" plus one key per field
 of its dataclass in membership.py.
@@ -91,6 +92,9 @@ def loads(text: str) -> dict:
         obj = json.loads(text)
     except json.JSONDecodeError as err:
         raise DocumentError(f"not valid JSON: {err}") from err
+    except RecursionError:
+        # the decoder's own message differs between Python versions
+        raise DocumentError("not valid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise DocumentError("document must be a JSON object")
     return obj

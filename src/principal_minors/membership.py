@@ -214,9 +214,15 @@ def _path_edges(path: list[int]) -> list[tuple[int, int]]:
     return [_edge(x, y) for x, y in zip(path, path[1:])]
 
 
-def _solve_gauge(w: list, n: int):
-    """Cycle products of every symmetric matrix with minors w, which all
-    agree up to the D A D gauge (Engel-Schneider).  Returns the diagonal,
+def _ratio(z: MinorVector, enc: int) -> Scalar:
+    """w_I = z_I / z_[0..0], the minor at I of every matrix `reconstruct`
+    may return; read only where needed, never for all 2^n coordinates."""
+    return normalize(Fraction(z.coords[enc]) / z.coords[0])
+
+
+def _solve_gauge(z: MinorVector):
+    """Cycle products of every symmetric matrix with minors w = z / z_[0..0],
+    which all agree up to the D A D gauge (Engel-Schneider).  Returns the diagonal,
     each s_ij = a_ii a_jj - w_ij = a_ij^2 on the edges (s_ij != 0), the
     spanning forest and its `parent` rooting, and for each edge (i, j)
     off the forest its forest paths i -> lca and j -> lca with the
@@ -231,10 +237,11 @@ def _solve_gauge(w: list, n: int):
     GF(2)), and pi(X xor Y) = pi(X) pi(Y) / prod_(X and Y) s_e carries
     the products to every fundamental cycle of the forest.
     """
-    diag = [w[1 << i] for i in range(n)]
+    n = z.n
+    diag = [_ratio(z, 1 << i) for i in range(n)]
     s = {}
     for i, j in combinations(range(n), 2):
-        value = diag[i] * diag[j] - w[(1 << i) | (1 << j)]
+        value = diag[i] * diag[j] - _ratio(z, (1 << i) | (1 << j))
         if value != 0:
             s[(i, j)] = value
     edges = list(s)
@@ -290,7 +297,7 @@ def _solve_gauge(w: list, n: int):
         mask, used = reduce(cycle_mask)
         if not mask:
             continue
-        pi = _cycle_product(cycle, diag, s, w)
+        pi = _cycle_product(cycle, diag, s, z)
         squares = 1
         for e in cycle_edges:
             squares *= s[e]
@@ -321,7 +328,7 @@ def _solve_gauge(w: list, n: int):
     return diag, s, parent, forest, fundamental
 
 
-def _cycle_product(cycle: list[int], diag: list, s: dict, w: list) -> Scalar:
+def _cycle_product(cycle: list[int], diag: list, s: dict, z: MinorVector) -> Scalar:
     """pi_C read off w_C for a chordless cycle C.  The matrix B0 with
     b_(c_k, c_(k+1)) = 1 and b_(c_(k+1), c_k) = s_e around C has the same
     terms as A_C except the two cycle terms, 1 + prod s_e in place of
@@ -336,7 +343,7 @@ def _cycle_product(cycle: list[int], diag: list, s: dict, w: list) -> Scalar:
         rows[k][nxt], rows[nxt][k] = 1, s_e
         squares *= s_e
     sign = 1 if m % 2 else -1
-    value = sign * (w[sum(1 << v for v in cycle)] - det_exact(rows)) + 1 + squares
+    value = sign * (_ratio(z, sum(1 << v for v in cycle)) - det_exact(rows)) + 1 + squares
     return normalize(Fraction(value) / 2)
 
 
@@ -351,7 +358,7 @@ def _symmetric_rows(diag: list, roots: dict, fundamental: list) -> list[list]:
         value = Fraction(pi)
         for e in path_i + path_j:
             value /= roots[e]
-        rows[i][j] = rows[j][i] = normalize(value) if isinstance(value, Fraction) else value
+        rows[i][j] = rows[j][i] = normalize(value)
     return rows
 
 
@@ -374,18 +381,20 @@ def _similar_rows(diag: list, s: dict, parent: list[int], fundamental: list) -> 
     return rows
 
 
-def _verify(rows: list[list], w: list) -> None:
+def _verify(rows: list[list], z: MinorVector) -> None:
     """Every C(n,3) triple first, then all 2^n minors through the lazy
-    kernel, which stops at the first mismatch."""
-    n = len(rows)
+    kernel, which stops at the first mismatch.  A minor m of rows matches
+    when m * z_[0..0] = z_I; certificates carry w_I = z_I / z_[0..0]."""
+    n, coords = len(rows), z.coords
+    z0 = coords[0]
     for ijk in combinations(range(n), 3):
         enc = sum(1 << v for v in ijk)
         value = det_exact([[rows[a][b] for b in ijk] for a in ijk])
-        if value != w[enc]:
-            raise NonMemberError(NoConsistentSigns("triple", enc, w[enc], value))
+        if value * z0 != coords[enc]:
+            raise NonMemberError(NoConsistentSigns("triple", enc, _ratio(z, enc), value))
     for enc, value in enumerate(all_principal_minors(rows)):
-        if value != w[enc]:
-            raise NonMemberError(MinorMismatch(enc, w[enc], value))
+        if value * z0 != coords[enc]:
+            raise NonMemberError(MinorMismatch(enc, _ratio(z, enc), value))
 
 
 def reconstruct(z: MinorVector, mode: str = "exact") -> SymmetricMatrix:
@@ -419,15 +428,14 @@ def reconstruct(z: MinorVector, mode: str = "exact") -> SymmetricMatrix:
     if z0 == 0:
         raise ZeroLeadingCoordinateError("leading coordinate z_[0..0] is zero"
                                          " (the open chart z_[0..0] != 0 is required)")
-    w = [normalize(Fraction(c) / z0) for c in z.coords]
-    diag, s, parent, forest, fundamental = _solve_gauge(w, n)
+    diag, s, parent, forest, fundamental = _solve_gauge(z)
     roots = {e: sqrt_exact(s[e]) for e in forest}
     non_square = next((e for e, root in roots.items() if root is None), None)
     if non_square is None:
         rows = _symmetric_rows(diag, roots, fundamental)
     else:
         rows = _similar_rows(diag, s, parent, fundamental)
-    _verify(rows, w)
+    _verify(rows, z)
     if mode == "exact":
         if non_square is not None:
             i, j = non_square

@@ -79,7 +79,7 @@ class TensorPolynomial:
         clean: dict[int, Scalar] = {}
         if terms:
             for key, coeff in terms.items():
-                coeff = normalize(coeff) if isinstance(coeff, Fraction) else coeff
+                coeff = normalize(coeff) if type(coeff) is Fraction else coeff
                 if coeff != 0:
                     clean[key] = coeff
         object.__setattr__(self, "_terms", clean)
@@ -251,7 +251,7 @@ def evaluate(poly: TensorPolynomial, point: "MinorVector | Sequence[Scalar]") ->
             term = term * value
             key >>= FIELD_BITS
         total = total + term
-    return normalize(total) if isinstance(total, Fraction) else total
+    return normalize(total)
 
 
 def monomial_weight(key: int, n: int) -> Weight:
@@ -396,7 +396,7 @@ def act_point(g: GroupElement, z: MinorVector) -> MinorVector:
             coords[enc | bit] = m[1][0] * lo + m[1][1] * hi
     if g.permutation != tuple(range(z.n)):
         coords = [coords[_permute_encoding(enc, g.permutation)] for enc in range(size)]
-    return MinorVector(z.n, tuple(normalize(c) if isinstance(c, Fraction) else c
+    return MinorVector(z.n, tuple(normalize(c) if type(c) is Fraction else c
                                   for c in coords))
 
 

@@ -4,15 +4,23 @@ All algebraic computations run over exact rationals.  Scalars are plain
 Python ints whenever the value is integral and fractions.Fraction
 otherwise; the two interoperate transparently and integer fast paths
 keep the hot evaluation loops cheap.
+
+Text has one codec: scalar_str writes reduced "p/q", and scalar_from_str
+reads exactly -?[0-9]+(/[0-9]+)? in ASCII digits, so no decimal,
+exponent ("1e1000000" is a million-digit integer), underscore, "+",
+whitespace or non-ASCII digit is read.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import isqrt
 from typing import Union
 
 Scalar = Union[int, Fraction]
+
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?", re.ASCII)
 
 
 def as_scalar(value) -> Scalar:
@@ -21,25 +29,40 @@ def as_scalar(value) -> Scalar:
         raise TypeError("bool is not a scalar")
     if isinstance(value, int):
         return value
+    if isinstance(value, str):
+        return scalar_from_str(value)
     if isinstance(value, Fraction):
         return normalize(value)
-    if isinstance(value, str):
-        try:
-            return normalize(Fraction(value))
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as an exact scalar")
+
+
+def scalar_from_str(text: str) -> Scalar:
+    """Read "p/q" or "p" (ASCII digits, optional leading "-", q >= 1):
+    an int when the value is integral, else a reduced Fraction."""
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise ValueError(f"not of the form p/q in ASCII digits: {text!r}")
+    numerator, denominator = match.groups()
+    p = int(numerator)
+    if denominator is None or denominator == "1":
+        return p
+    q = int(denominator)
+    if q == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return normalize(Fraction(p, q))
 
 
 def normalize(value: Scalar) -> Scalar:
     """Collapse integral Fractions to int."""
-    if isinstance(value, Fraction) and value.denominator == 1:
+    if type(value) is Fraction and value.denominator == 1:
         return value.numerator
     return value
 
 
 def scalar_str(value: Scalar) -> str:
     """Serialize as "p/q" with q > 0 and gcd(p, q) = 1."""
+    if type(value) is int:
+        return f"{value}/1"
     if not isinstance(value, (int, Fraction)):
         raise ValueError(f"cannot write {value!r} as an exact rational")
     f = Fraction(value)

@@ -16,6 +16,11 @@ from hypothesis import strategies as st
 
 from principal_minors import SymmetricMatrix
 
+# Spellings of rationals that fractions.Fraction reads but scalar_str never
+# writes; every reader of a rational rejects each of them.
+NOT_P_OVER_Q = ("1.5", ".5", "1e3", "1E3", "1e1000000", "1_000", " 1/1", "1/1 ", "+1",
+                "\u0661/\u0662", "3/-4")
+
 
 def laplace_det(rows):
     """Cofactor-expansion determinant, independent of Bareiss."""

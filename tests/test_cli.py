@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from principal_minors import SymmetricMatrix, documents, minor_vector
+from principal_minors import SymmetricMatrix, cli, documents, minor_vector
 from principal_minors.cli import main
 from principal_minors.documents import dumps, loads, matrix_document, minors_document
+
+from conftest import NOT_P_OVER_Q
 
 
 def write_matrix(path, rows):
@@ -55,6 +58,17 @@ def test_minors_rejects_scalars_it_cannot_write(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("t", NOT_P_OVER_Q)
+def test_minors_reads_t_only_as_p_over_q(tmp_path, capsys, t):
+    mfile, out = tmp_path / "m.json", tmp_path / "z.json"
+    write_matrix(mfile, [[1, 2], [2, 3]])
+    assert main(["minors", "--in", str(mfile), "--out", str(out), "--t", t]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: not of the form p/q in ASCII digits: {t!r}\n"
+    assert not out.exists()
+
+
 def test_minors_beyond_its_bound_exits_2(tmp_path, capsys):
     from principal_minors.minor_map import MAX_MINOR_FACTORS
 
@@ -80,6 +94,28 @@ def test_malformed_input_exits_2(tmp_path):
     bad.write_text("{")
     assert main(["minors", "--in", str(bad), "--out", str(tmp_path / "o.json")]) == 2
     assert main(["check", "--in", str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize("command", [["minors", "--out", "o.json"], ["check"],
+                                     ["reconstruct", "--out", "o.json"],
+                                     ["rep", "lower-to-lowest", "--out", "o.json"]])
+def test_deeply_nested_document_exits_2(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    Path("in.json").write_text("[" * 100_000 + "]" * 100_000)
+    assert main(command + ["--in", "in.json"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: not valid JSON: nested too deeply\n")
+    assert not Path("o.json").exists()
+
+
+def test_successive_calls_share_one_parser_and_no_arguments(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_minors(Path("z.json"), minor_vector(SymmetricMatrix.from_rows([[1, 1], [1, 2]]), 1))
+    assert main(["check", "--in", "z.json", "--out", "r.json"]) == 0
+    Path("r.json").unlink()
+    assert main(["check", "--in", "z.json"]) == 0
+    assert not Path("r.json").exists()
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_check_member_and_nonmember(tmp_path, capsys):

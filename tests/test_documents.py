@@ -40,6 +40,9 @@ from principal_minors.membership import (
     PrefilterViolation,
     SymmetrizableCertificate,
 )
+from principal_minors.scalars import scalar_from_str
+
+from conftest import NOT_P_OVER_Q
 from principal_minors.polynomials import MAX_FACTORS
 
 
@@ -75,6 +78,32 @@ def test_rational_strings_are_reduced_with_positive_denominator():
     for text in doc["coords"]:
         p, q = (int(v) for v in text.split("/"))
         assert q > 0 and math.gcd(p, q) == 1
+
+
+def test_rational_strings_read_exactly_the_written_grammar():
+    for text, value in (("-3", -3), ("0", 0), ("-0", 0), ("4/2", 2), ("-7/3", Fraction(-7, 3)),
+                        ("6/4", Fraction(3, 2)), ("0/5", 0), ("12/1", 12)):
+        got = scalar_from_str(text)
+        assert got == value and type(got) is type(value)
+    for text in NOT_P_OVER_Q + ("", "-", "1/", "/2", "--1", "1/2/3", "1/1\n", "\u00b2"):
+        with pytest.raises(ValueError):
+            scalar_from_str(text)
+    with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+        scalar_from_str("1/0")
+
+
+def test_exponent_form_is_rejected_before_building_its_integer():
+    # fractions.Fraction reads "1e1000000" as a 3.3-million-bit integer
+    tracemalloc.start()
+    try:
+        with pytest.raises(DocumentError) as err:
+            parse_minors_document({"kind": "minors", "schema_version": 1, "n": 1,
+                                   "order": "lsb-factor-1", "coords": ["1/1", "1e1000000"]})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value).startswith("bad rational '1e1000000': ")
+    assert peak < 100_000
 
 
 def test_polynomial_round_trip():
@@ -283,6 +312,15 @@ MALFORMED = [
     ("polynomial", {"n": 6, "terms": [{"monomial": [[enc, 1] for enc in range(0, 40, 2)],
                                        "coeff": "1/1"}]}),
 ]
+
+
+# every spelling outside -?[0-9]+(/[0-9]+)? in every place a rational is read
+MALFORMED += [change for text in NOT_P_OVER_Q for change in (
+    ("matrix", {"entries": [[text]]}),
+    ("minors", {"coords": ["1/1", text]}),
+    ("polynomial", {"terms": [{"monomial": [[0, 1]], "coeff": text}]}),
+    ("report", _certificate(expected=text)),
+)]
 
 
 def test_base_documents_parse():

@@ -173,6 +173,11 @@ CYCLES = {
     "4-cycle-with-tail": (6, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (4, 5)], 0b1111),
 }
 
+# rationals that fractions.Fraction reads and the documents' grammar does not
+BAD_RATIONALS = {"decimal": "1.5", "exponent": "1e1000000", "underscore": "1_0/1",
+                "leading-space": " 1/1", "plus-sign": "+1/1", "arabic-indic": "\u0661/\u0662"}
+DEEPLY_NESTED = "[" * 100_000 + "]" * 100_000
+
 MALFORMED_MATRICES = {
     "not-json": "nope",
     "not-an-object": "[]",
@@ -191,6 +196,9 @@ MALFORMED_MATRICES = {
                 "entries": [[[1.0, 0.0]]]},
     "unknown-scalar-type": {"kind": "matrix", "schema_version": 1, "n": 1,
                             "scalar_type": "real", "entries": [["1/1"]]},
+    "deeply-nested": DEEPLY_NESTED,
+    **{f"{name}-entry": {"kind": "matrix", "schema_version": 1, "n": 1, "entries": [[text]]}
+       for name, text in BAD_RATIONALS.items()},
 }
 
 MALFORMED_MINORS = {
@@ -203,6 +211,10 @@ MALFORMED_MINORS = {
     "bool-coord": {"kind": "minors", "schema_version": 1, "n": 1, "order": "lsb-factor-1",
                    "coords": [True, "1/1"]},
     "zero-vector": minors_doc([0, 0, 0, 0]),
+    "deeply-nested": DEEPLY_NESTED,
+    **{f"{name}-coord": {"kind": "minors", "schema_version": 1, "n": 1, "order": "lsb-factor-1",
+                         "coords": ["1/1", text]}
+       for name, text in BAD_RATIONALS.items()},
 }
 
 MALFORMED_POLYNOMIALS = {
@@ -217,6 +229,7 @@ MALFORMED_POLYNOMIALS = {
                       "terms": [{"monomial": [[0, 1]]}]},
     "degree-13": polynomial_doc(4, [([(enc, 1) for enc in range(13)], 1)]),
     "n-15": polynomial_doc(15, [([(0, 1)], 1)]),
+    "deeply-nested": DEEPLY_NESTED,
 }
 
 # the 12 terms of Cayley's hyperdeterminant on three factors
@@ -250,8 +263,10 @@ def cases() -> dict[str, tuple[list[str], object]]:
         matrix_doc(rows_of("dense", 14)))
     add("minors/dense/n=15", ["minors", "--in", INPUT, "--out", "z.json"],
         matrix_doc(rows_of("dense", 15)))
-    add("minors/t-zero-denominator", ["minors", "--in", INPUT, "--out", "z.json", "--t", "1/0"],
-        matrix_doc([[1, 2], [2, 3]]))
+    for name, t in {"zero-denominator": "1/0", "decimal": "1.5",
+                    "exponent": "1e1000000"}.items():
+        add(f"minors/t-{name}", ["minors", "--in", INPUT, "--out", "z.json", "--t", t],
+            matrix_doc([[1, 2], [2, 3]]))
     for name, document in MALFORMED_MATRICES.items():
         add(f"minors/malformed/{name}", ["minors", "--in", INPUT, "--out", "z.json"], document)
     add("minors/missing-input", ["minors", "--in", "missing.json", "--out", "z.json"])
