@@ -40,7 +40,7 @@ from .rep_theory import (
     sl2_dim,
 )
 from .sampling import random_symmetric_matrix
-from .scalars import scalar_from_str, scalar_str
+from .scalars import scalar_from_str, scalar_str, scalar_text
 
 
 def _read_document(path: str) -> dict:
@@ -92,7 +92,7 @@ def _cmd_reconstruct(args) -> int:
         print(f"non-member: {err}", file=sys.stderr)
         return EXIT_NON_MEMBER
     _write_document(args.out, documents.matrix_document(matrix))
-    print(f"n={matrix.n} scale={scalar_str(z[0]) if args.mode == 'exact' else z[0]}")
+    print(f"n={matrix.n} scale={(scalar_str if args.mode == 'exact' else scalar_text)(z[0])}")
     return EXIT_MEMBER
 
 
@@ -186,7 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("minors", help="compute the length-2^n minor vector of a matrix")
     p.add_argument("--in", dest="infile", required=True, help="matrix document")
     p.add_argument("--out", required=True, help="minors document to write")
-    p.add_argument("--t", default="1", help="homogenizing scalar t, as p/q or p (default 1)")
+    p.add_argument("--t", default="1", help="homogenizing scalar t, as p/q or p (default 1);"
+                   " write a negative fraction as --t=-7/3")
     p.set_defaults(func=_cmd_minors)
 
     p = sub.add_parser("check", help="decide whether a vector is a vector of principal minors")

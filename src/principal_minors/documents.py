@@ -169,7 +169,7 @@ def parse_minors_document(obj: dict) -> MinorVector:
 
 def polynomial_document(poly: TensorPolynomial) -> dict:
     terms = [
-        {"monomial": [[enc, exp] for enc, exp in pairs], "coeff": scalar_str(coeff)}
+        {"monomial": pairs, "coeff": scalar_str(coeff)}
         for pairs, coeff in poly.terms()
     ]
     return {
@@ -207,9 +207,9 @@ def parse_polynomial_document(obj: dict) -> TensorPolynomial:
 def _basis_entries_payload(basis: ModuleBasis) -> list[dict]:
     return [
         {
-            "triple": list(entry.triple),
-            "exponents": list(entry.exponents),
-            "weight": list(entry.weight),
+            "triple": entry.triple,
+            "exponents": entry.exponents,
+            "weight": entry.weight,
             "polynomial": polynomial_document(entry.polynomial),
         }
         for entry in basis.entries

@@ -31,7 +31,7 @@ from .indices import MinorVector
 from .matrices import SymmetricMatrix, det_exact
 from .minor_map import all_principal_minors, minor_vector
 from .polynomials import GroupElement, act_point, evaluate
-from .scalars import Scalar, normalize, sqrt_exact
+from .scalars import Scalar, normalize, scalar_text, sqrt_exact
 
 VERDICT_MEMBER = "member"
 VERDICT_NON_MEMBER = "non-member"
@@ -138,7 +138,7 @@ class NonSquareEntryError(ReconstructionError):
     def __init__(self, i: int, j: int, value: Scalar, real: bool,
                  certificate: SymmetrizableCertificate):
         super().__init__(
-            f"a_{i + 1},{j + 1}^2 = {value} is not a rational square, so no rational"
+            f"a_{i + 1},{j + 1}^2 = {scalar_text(value)} is not a rational square, so no rational"
             f" symmetric matrix has these minors; "
             + ("a real one does" if real else "no real one does either (some a_kl^2 < 0)")
             + " (numeric mode writes one in complex floats)",
@@ -155,29 +155,9 @@ class NonMemberError(ReconstructionError):
         what = (f"no off-diagonal signs fit the {certificate.check}"
                 if isinstance(certificate, NoConsistentSigns) else "minor")
         super().__init__(f"{what} at encoding {certificate.encoding}:"
-                         f" expected {certificate.expected}, got {certificate.actual}",
+                         f" expected {scalar_text(certificate.expected)},"
+                         f" got {scalar_text(certificate.actual)}",
                          certificate)
-
-
-def _spanning_forest(n: int, edges: list[tuple[int, int]]
-                     ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    forest, cycles = [], []
-    for i, j in edges:
-        ri, rj = find(i), find(j)
-        if ri == rj:
-            cycles.append((i, j))
-        else:
-            parent[ri] = rj
-            forest.append((i, j))
-    return forest, cycles
 
 
 def _bfs_tree(adjacency: list[list[int]], sources) -> tuple[list[int], list[int]]:
@@ -226,7 +206,10 @@ def _solve_gauge(z: MinorVector):
     each s_ij = a_ii a_jj - w_ij = a_ij^2 on the edges (s_ij != 0), the
     spanning forest and its `parent` rooting, and for each edge (i, j)
     off the forest its forest paths i -> lca and j -> lca with the
-    product of the a_e around the cycle they close.
+    product of the a_e around the cycle they close.  The forest is the
+    greedy one in edge order: an edge closes a cycle with earlier edges
+    exactly when it is the top edge of some cycle, so the edges off it
+    are the keys of the top-bit echelon of the cycle space.
 
     For a chordless cycle C of length m, det(A_C) depends on the a_e only
     through the s_e and the cycle product pi_C, with slope 2(-1)^(m+1):
@@ -245,7 +228,6 @@ def _solve_gauge(z: MinorVector):
         if value != 0:
             s[(i, j)] = value
     edges = list(s)
-    forest, off_forest = _spanning_forest(n, edges)
     bit = {e: 1 << k for k, e in enumerate(edges)}
     s_of_bit = list(s.values())
 
@@ -279,6 +261,10 @@ def _solve_gauge(z: MinorVector):
         adjacency[i].append(j)
         adjacency[j].append(i)
     trees = [_bfs_tree(adjacency, [v]) for v in range(n)]
+    # cycle-space rank |E| - n + c: v is the lowest vertex of its component
+    # exactly when its tree reaches no lower vertex
+    rank = len(edges) - n + sum(max(parent[:v], default=-1) < 0
+                                for v, (parent, _) in enumerate(trees))
     candidates = sorted(
         (depth[x] + depth[y] + 1, v, x, y)
         for v, (parent, depth) in enumerate(trees)
@@ -286,7 +272,7 @@ def _solve_gauge(z: MinorVector):
         if parent[x] >= 0 and parent[x] != y and parent[y] != x
     )
     for _, v, x, y in candidates:
-        if len(echelon) == len(off_forest):
+        if len(echelon) == rank:
             break
         up_x, up_y = _climb(trees[v][0], x), _climb(trees[v][0], y)
         if set(up_x).intersection(up_y) != {v}:
@@ -309,6 +295,8 @@ def _solve_gauge(z: MinorVector):
             row = merge(row, other)
         echelon[mask.bit_length() - 1] = row
 
+    forest = [e for k, e in enumerate(edges) if k not in echelon]
+    off_forest = [edges[k] for k in sorted(echelon)]
     forest_adjacency = [[] for _ in range(n)]
     for i, j in forest:
         forest_adjacency[i].append(j)

@@ -10,7 +10,7 @@ from principal_minors import SymmetricMatrix, cli, documents, minor_vector
 from principal_minors.cli import main
 from principal_minors.documents import dumps, loads, matrix_document, minors_document
 
-from conftest import NOT_P_OVER_Q
+from conftest import NOT_P_OVER_Q, laplace_minors
 
 
 def write_matrix(path, rows):
@@ -35,6 +35,17 @@ def test_minors_with_t_flag(tmp_path):
     write_matrix(mfile, [[1, 2], [2, 3]])
     assert main(["minors", "--in", str(mfile), "--out", str(zfile), "--t", "0"]) == 0
     assert loads(zfile.read_text())["coords"] == ["0/1", "0/1", "0/1", "-1/1"]
+
+
+def test_minors_with_negative_fraction_t(tmp_path):
+    # argparse reads "-7/3" after a space as an option; attached it is a value
+    rows = [[1, 2, 0], [2, 3, 1], [0, 1, -4]]
+    mfile, zfile = tmp_path / "m.json", tmp_path / "z.json"
+    write_matrix(mfile, rows)
+    assert main(["minors", "--in", str(mfile), "--out", str(zfile), "--t=-7/3"]) == 0
+    t = Fraction(-7, 3)
+    want = [t ** (3 - bin(enc).count("1")) * m for enc, m in enumerate(laplace_minors(rows))]
+    assert [Fraction(c) for c in loads(zfile.read_text())["coords"]] == want
 
 
 def test_minors_rejects_scalars_it_cannot_write(tmp_path, capsys):

@@ -40,7 +40,7 @@ from principal_minors.membership import (
     PrefilterViolation,
     SymmetrizableCertificate,
 )
-from principal_minors.scalars import scalar_from_str
+from principal_minors.scalars import MAX_DIGITS, scalar_from_str, scalar_str, scalar_text
 
 from conftest import NOT_P_OVER_Q
 from principal_minors.polynomials import MAX_FACTORS
@@ -90,6 +90,20 @@ def test_rational_strings_read_exactly_the_written_grammar():
             scalar_from_str(text)
     with pytest.raises(ValueError, match="zero denominator in '1/0'"):
         scalar_from_str("1/0")
+
+
+def test_rational_strings_up_to_max_digits_round_trip():
+    # 10 ** MAX_DIGITS is past the interpreter's 4,300-digit int-to-str limit
+    for value in (-(10 ** (MAX_DIGITS - 1)) + 7, Fraction(1, 10 ** (MAX_DIGITS - 1))):
+        text = scalar_str(value)
+        assert scalar_from_str(text) == value
+        assert scalar_text(value) == text.removesuffix("/1")
+    for text in ("1" * (MAX_DIGITS + 1), "-" + "1" * (MAX_DIGITS + 1), "1/" + "3" * (MAX_DIGITS + 1)):
+        with pytest.raises(ValueError, match=f"more than {MAX_DIGITS} digits"):
+            scalar_from_str(text)
+    with pytest.raises(ValueError, match=f"more than {MAX_DIGITS} digits"):
+        scalar_str(10 ** MAX_DIGITS)
+    assert (scalar_text(-3), scalar_text(Fraction(7, 2))) == ("-3", "7/2")
 
 
 def test_exponent_form_is_rejected_before_building_its_integer():

@@ -11,9 +11,10 @@ files it wrote.
 
 Argv that argparse itself rejects stays out: its usage text wraps with
 COLUMNS and differs between Python versions.  `hd-basis --n 6` stays out
-too (rendering and digesting its document takes about 18 s); `check
+too (rendering and digesting its document takes about 12 s); `check
 --method basis` at n = 6 covers that bound and shares `hd_basis`'s cache
-with the rest of the suite.
+with the rest of the suite, and tests/test_hyperdet.py pins that basis
+by content.
 
 After an intended output change, rewrite the manifest with
 
@@ -32,6 +33,7 @@ import os
 import random
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -49,8 +51,9 @@ INPUT = "in.json"
 # -- input documents ---------------------------------------------------
 
 def rational(value) -> str:
+    # through decimal, so integers past the int-to-str limit can be written
     f = Fraction(value)
-    return f"{f.numerator}/{f.denominator}"
+    return f"{Decimal(f.numerator)}/{Decimal(f.denominator)}"
 
 
 def matrix_doc(rows) -> dict:
@@ -267,6 +270,9 @@ def cases() -> dict[str, tuple[list[str], object]]:
                     "exponent": "1e1000000"}.items():
         add(f"minors/t-{name}", ["minors", "--in", INPUT, "--out", "z.json", "--t", t],
             matrix_doc([[1, 2], [2, 3]]))
+    # argparse reads "-7/3" after a space as an option, so the value is attached
+    add("minors/t=-7/3", ["minors", "--in", INPUT, "--out", "z.json", "--t=-7/3"],
+        matrix_doc(rows_of("dense", 3)))
     for name, document in MALFORMED_MATRICES.items():
         add(f"minors/malformed/{name}", ["minors", "--in", INPUT, "--out", "z.json"], document)
     add("minors/missing-input", ["minors", "--in", "missing.json", "--out", "z.json"])
@@ -308,6 +314,23 @@ def cases() -> dict[str, tuple[list[str], object]]:
     add("check/malformed/matrix-document", ["check", "--in", INPUT], matrix_doc([[1]]))
     add("reconstruct/unwritable-output", ["reconstruct", "--in", INPUT, "--out", "missing/m.json"],
         minors_doc([1, 2]))
+
+    # integers past the interpreter's 4,300-digit int-to-str limit
+    big = 10 ** 3000
+    add("minors/digits/10^3000", ["minors", "--in", INPUT, "--out", "z.json"],
+        matrix_doc([[big, 1], [1, big]]))
+    add("check/reconstruct/digits/10^3000",
+        ["check", "--in", INPUT, "--method", "reconstruct", "--out", "report.json"],
+        minors_doc(laplace_minors([[big, 1], [1, big]])))
+    big3 = laplace_minors([[big, 1, 0], [1, big, 1], [0, 1, big]])  # a path: a triple check
+    add("reconstruct/exact/digits/perturbed-top",
+        ["reconstruct", "--in", INPUT, "--out", "matrix.json"], minors_doc(changed(big3, 7, 1)))
+    add("reconstruct/numeric/digits/scaled",
+        ["reconstruct", "--in", INPUT, "--out", "matrix.json", "--mode", "numeric"],
+        minors_doc([c * 10 ** 5000 for c in laplace_minors([[1, 2], [2, 3]])]))
+    add("check/digits/20001", ["check", "--in", INPUT, "--method", "reconstruct"],
+        {"kind": "minors", "schema_version": 1, "n": 1, "order": "lsb-factor-1",
+         "coords": ["1/1", "1" + "0" * 20000]})
 
     for n in (2, 3, 4, 5, 7):
         add(f"hd-basis/n={n}", ["hd-basis", "--n", str(n), "--out", "basis.json"])

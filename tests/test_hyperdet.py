@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -20,10 +21,13 @@ from principal_minors import (
     weight_of,
 )
 from principal_minors.documents import basis_digest
+from principal_minors.polynomials import unpack_monomial
+from principal_minors.scalars import scalar_str
 from principal_minors.sampling import random_symmetric_matrix
 
 GOLDEN_N4_DIGEST = "sha256:c93bf807aca4926a00eb25a9c46f3e8c26335a70b54852addc28ad0221794825"
 GOLDEN_N5_DIGEST = "sha256:14ee0386e43f4975f44dca40e4a4ef4a127598a236559a592b15e03268dd49d5"
+GOLDEN_N6_CONTENT = "sha256:fc8ad13843417106fdab9906c7d0781650e5c4d039b729419ecd8513d5853b85"
 
 
 def test_cayley_two_corner_evaluation():
@@ -174,9 +178,24 @@ def test_golden_digest_n4():
 
 
 def test_golden_digest_n5():
-    # n=6 is not pinned here: rendering its 759,040 terms for the digest
-    # takes several times as long as building the basis.
+    # n=6 is pinned by content below: rendering its 759,040 terms for the
+    # document digest (sha256:a391247a...) takes longer than the build.
     assert basis_digest(hd_basis(5)) == GOLDEN_N5_DIGEST
+
+
+def basis_content_digest(basis) -> str:
+    """SHA-256 of each entry's triple, exponents, weight and its terms as
+    sorted (encodings, coefficient) pairs, without rendering a document."""
+    digest = hashlib.sha256()
+    for entry in basis:
+        terms = sorted((unpack_monomial(key), scalar_str(coeff))
+                       for key, coeff in entry.polynomial._terms.items())
+        digest.update(repr((entry.triple, entry.exponents, entry.weight, terms)).encode())
+    return "sha256:" + digest.hexdigest()
+
+
+def test_golden_content_n6():
+    assert basis_content_digest(hd_basis(6)) == GOLDEN_N6_CONTENT
 
 
 def test_split_weights_of_lowest_weight_hyperdet():

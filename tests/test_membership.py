@@ -27,7 +27,6 @@ from principal_minors.membership import (
     ReconstructionError,
     SymmetrizableCertificate,
     ZeroLeadingCoordinateError,
-    _spanning_forest,
 )
 from principal_minors.matrices import det_exact
 from principal_minors.minor_map import all_principal_minors
@@ -477,7 +476,15 @@ def reference_reconstruct(z: MinorVector):
                 return "non-square", None
             mag[(i, j)] = root
             edges.append((i, j))
-    forest, cycles = _spanning_forest(n, edges)
+    # greedy forest in edge order: an edge joining two labelled
+    # components merges them, one within a component closes a cycle
+    label, forest, cycles = list(range(n)), [], []
+    for i, j in edges:
+        if label[i] == label[j]:
+            cycles.append((i, j))
+        else:
+            forest.append((i, j))
+            label = [label[i] if x == label[j] else x for x in label]
     triples = [((1 << i) | (1 << j) | (1 << k), (i, j, k))
                for i, j, k in combinations(range(n), 3)]
     first_full_mismatch = None
