@@ -12,8 +12,10 @@ to C(d, d/2) terms, so one degree-12 term takes about 0.05 s in `pminors
 rep lower-to-lowest` and one of degree 20 about 30 s (2-core x86 VM,
 Python 3.11).  Rationals are written as reduced "p/q" strings with q > 0
 and read from JSON integers or from strings in exactly the grammar
--?[0-9]+(/[0-9]+)? with q >= 1 (scalars.scalar_from_str); booleans,
-floats, decimals, exponents and every other spelling are rejected.
+-?[0-9]+(/[0-9]+)? with q >= 1 (scalars.scalar_from_str, which also
+reads every JSON integer literal, so both share its digit bound); booleans,
+floats, decimals, exponents and every other spelling are rejected.  An
+error message shows a long rejected value cut short (scalars.excerpt).
 Matrices are read as rationals only: a complex matrix document, numeric
 `reconstruct`'s rendering, is written but never read back.  Minor vectors carry the explicit "order":
 "lsb-factor-1" marker (factor 1 = least significant bit of the
@@ -43,7 +45,7 @@ from .membership import (
     SymmetrizableCertificate,
 )
 from .polynomials import TensorPolynomial
-from .scalars import Scalar, as_scalar, scalar_str
+from .scalars import Scalar, as_scalar, excerpt, scalar_from_str, scalar_str
 
 SCHEMA_VERSION = 1
 MINOR_ORDER = "lsb-factor-1"
@@ -56,30 +58,30 @@ class DocumentError(ValueError):
 
 def _int_in(value: Any, what: str, low: int | None = None) -> int:
     if type(value) is not int:
-        raise DocumentError(f"{what} must be a JSON integer, got {value!r}")
+        raise DocumentError(f"{what} must be a JSON integer, got {excerpt(value)}")
     if low is not None and value < low:
-        raise DocumentError(f"{what} must be at least {low}, got {value}")
+        raise DocumentError(f"{what} must be at least {low}, got {excerpt(value)}")
     return value
 
 
 def _str_in(value: Any, what: str) -> str:
     if not isinstance(value, str):
-        raise DocumentError(f"{what} must be a string, got {value!r}")
+        raise DocumentError(f"{what} must be a string, got {excerpt(value)}")
     return value
 
 
 def _scalar_in(value: Any) -> Scalar:
     if not isinstance(value, (int, str)):
-        raise DocumentError(f"expected a rational string, got {value!r}")
+        raise DocumentError(f"expected a rational string, got {excerpt(value)}")
     try:
         return as_scalar(value)
     except (TypeError, ValueError) as err:
-        raise DocumentError(f"bad rational {value!r}: {err}") from err
+        raise DocumentError(f"bad rational {excerpt(value)}: {err}") from err
 
 
 def _rows_in(rows: Any) -> tuple[tuple[Scalar, ...], ...]:
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-        raise DocumentError(f"expected a list of rows, got {rows!r}")
+        raise DocumentError(f"expected a list of rows, got {excerpt(rows)}")
     return tuple(tuple(_scalar_in(v) for v in row) for row in rows)
 
 
@@ -89,12 +91,16 @@ def dumps(obj: dict) -> str:
 
 def loads(text: str) -> dict:
     try:
-        obj = json.loads(text)
+        # JSON integers are read like "p/q" text: MAX_DIGITS digits, past
+        # the interpreter's int-to-str limit through decimal
+        obj = json.loads(text, parse_int=scalar_from_str)
     except json.JSONDecodeError as err:
         raise DocumentError(f"not valid JSON: {err}") from err
     except RecursionError:
         # the decoder's own message differs between Python versions
         raise DocumentError("not valid JSON: nested too deeply") from None
+    except ValueError as err:
+        raise DocumentError(f"bad JSON integer: {err}") from err
     if not isinstance(obj, dict):
         raise DocumentError("document must be a JSON object")
     return obj
@@ -102,12 +108,12 @@ def loads(text: str) -> dict:
 
 def _expect(obj: Any, kind: str) -> dict:
     if not isinstance(obj, dict):
-        raise DocumentError(f"expected a {kind} document, got {obj!r}")
+        raise DocumentError(f"expected a {kind} document, got {excerpt(obj)}")
     if obj.get("kind") != kind:
-        raise DocumentError(f"expected kind={kind!r}, got {obj.get('kind')!r}")
+        raise DocumentError(f"expected kind={kind!r}, got {excerpt(obj.get('kind'))}")
     version = obj.get("schema_version")
     if type(version) is not int or version != SCHEMA_VERSION:
-        raise DocumentError(f"unsupported schema_version {version!r}")
+        raise DocumentError(f"unsupported schema_version {excerpt(version)}")
     return obj
 
 
@@ -133,7 +139,7 @@ def parse_matrix_document(obj: dict) -> SymmetricMatrix:
         raise DocumentError("complex matrix documents are written, not read:"
                             " their entries are not exact")
     if scalar_type != "rational":
-        raise DocumentError(f"unknown scalar_type {scalar_type!r}")
+        raise DocumentError(f"unknown scalar_type {excerpt(scalar_type)}")
     try:
         return SymmetricMatrix(n, _rows_in(obj.get("entries")))
     except (ValueError, TypeError) as err:
@@ -155,7 +161,7 @@ def minors_document(z: MinorVector) -> dict:
 def parse_minors_document(obj: dict) -> MinorVector:
     obj = _expect(obj, "minors")
     if obj.get("order") != MINOR_ORDER:
-        raise DocumentError(f"unsupported coordinate order {obj.get('order')!r}")
+        raise DocumentError(f"unsupported coordinate order {excerpt(obj.get('order'))}")
     n = _int_in(obj.get("n"), "n", 1)
     coords = obj.get("coords")
     # compare bit lengths first, so a huge n never builds 1 << n
@@ -318,10 +324,10 @@ def _parse_certificate(payload: Any):
     if payload is None:
         return None
     if not isinstance(payload, dict):
-        raise DocumentError(f"certificate must be an object, got {payload!r}")
+        raise DocumentError(f"certificate must be an object, got {excerpt(payload)}")
     cls = CERTIFICATES.get(_str_in(payload.get("type"), "certificate type"))
     if cls is None:
-        raise DocumentError(f"unknown certificate type {payload.get('type')!r}")
+        raise DocumentError(f"unknown certificate type {excerpt(payload.get('type'))}")
     try:
         return cls(*(_FIELD_CODECS[field.type][1](payload[field.name])
                      for field in fields(cls)))

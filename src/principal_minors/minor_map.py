@@ -3,8 +3,11 @@
 phi sends [A, t] to the vector with coordinate t^(n-|I|) * det(A_I) at
 the binary index I, where A_I keeps row/column k exactly when i_k = 1
 and the empty minor is 1.  Every all-minors computation goes through
-the one kernel `all_principal_minors`; `minor_vector` is bounded at
-n <= MAX_MINOR_FACTORS.
+the one kernel `all_principal_minors`, which factors over connected
+components: a determinant is taken only for a subset whose induced graph
+of nonzero off-diagonal entries is connected, and every other minor is
+the product of two minors already computed.  `minor_vector` is bounded
+at n <= MAX_MINOR_FACTORS.
 """
 
 from __future__ import annotations
@@ -16,10 +19,11 @@ from .indices import BinaryIndex, MinorVector
 from .matrices import SingularMatrixError, SymmetricMatrix, det_exact
 from .scalars import Scalar, as_scalar, normalize
 
-# minor_vector takes 2^n determinants, about x5 per two more rows: at
-# n = 14, 0.45 s on a dense integer matrix and 0.8 s on a dense rational
-# one with denominators 1..9 (10.4 s while Bareiss ran on Fractions;
-# 2-core x86 VM, Python 3.11).
+# minor_vector takes one determinant per connected subset: on a dense
+# matrix all 2^n, about x5 per two more rows.  At n = 14 that is 0.9 s on
+# a dense integer matrix and 1.9 s on a dense rational one with
+# denominators 1..9, as before the factorization; a tree plus 0..3 extra
+# edges takes 0.08-0.14 s instead of 0.78 s (2-core x86 VM, Python 3.11).
 MAX_MINOR_FACTORS = 14
 
 
@@ -36,11 +40,37 @@ def _principal_submatrix(rows: Sequence[Sequence], enc: int) -> list[list]:
 
 
 def all_principal_minors(rows: Sequence[Sequence]) -> Iterator[Scalar]:
-    """All 2^n principal minors of exact rows in encoding order, each by
-    `det_exact` looked up here at call time, so a patch of
-    `minor_map.det_exact` sees every one.  rows need not be symmetric.
-    Lazy: a caller that stops at the first mismatch takes no more."""
-    return (det_exact(_principal_submatrix(rows, enc)) for enc in range(1 << len(rows)))
+    """All 2^n principal minors of exact rows in encoding order; rows need
+    not be symmetric.  Let G have an edge {i, j} when rows[i][j] or
+    rows[j][i] is nonzero.  When G[S] is disconnected and C is the
+    component of S's lowest vertex, A_S is block diagonal up to a
+    permutation, so det(A_S) = det(A_C) * det(A_(S-C)): two minors of
+    lower encoding, which the kernel keeps (2^n values).  Only a nonempty
+    connected S takes a determinant, by `det_exact` looked up here at call
+    time, so a patch of `minor_map.det_exact` sees every one.  Lazy: a
+    caller that stops at the first mismatch takes no more."""
+    n = len(rows)
+    adjacent = [sum(1 << j for j in range(n) if j != i and (rows[i][j] != 0 or rows[j][i] != 0))
+                for i in range(n)]
+    values = [1]
+    yield 1
+    for enc in range(1, 1 << n):
+        # grow the component of the lowest vertex; stop once it is all of S
+        component = frontier = enc & -enc
+        while frontier and component != enc:
+            reach = 0
+            while frontier:
+                bit = frontier & -frontier
+                reach |= adjacent[bit.bit_length() - 1]
+                frontier ^= bit
+            frontier = reach & enc & ~component
+            component |= frontier
+        if component == enc:
+            value = det_exact(_principal_submatrix(rows, enc))
+        else:
+            value = normalize(values[component] * values[enc ^ component])
+        values.append(value)
+        yield value
 
 
 def minor_vector(matrix: SymmetricMatrix, t=1) -> MinorVector:

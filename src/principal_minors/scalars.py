@@ -27,6 +27,7 @@ Scalar = Union[int, Fraction]
 
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?", re.ASCII)
 MAX_DIGITS = 20_000
+EXCERPT_CHARS = 64
 _DIGIT_BOUND = 10 ** MAX_DIGITS
 
 
@@ -43,12 +44,22 @@ def as_scalar(value) -> Scalar:
     raise TypeError(f"cannot interpret {value!r} as an exact scalar")
 
 
+def excerpt(value) -> str:
+    """repr(value) for an error message; past EXCERPT_CHARS characters,
+    its first EXCERPT_CHARS and the value's length instead."""
+    text = scalar_text(value) if type(value) is int else repr(value)
+    if len(text) <= EXCERPT_CHARS:
+        return text
+    size = len(value) if isinstance(value, str) else len(text)
+    return f"{text[:EXCERPT_CHARS]}... ({size} characters)"
+
+
 def scalar_from_str(text: str) -> Scalar:
     """Read "p/q" or "p" (ASCII digits, optional leading "-", q >= 1):
     an int when the value is integral, else a reduced Fraction."""
     match = _RATIONAL.fullmatch(text)
     if match is None:
-        raise ValueError(f"not of the form p/q in ASCII digits: {text!r}")
+        raise ValueError(f"not of the form p/q in ASCII digits: {excerpt(text)}")
     numerator, denominator = match.groups()
     if len(numerator.lstrip("-")) > MAX_DIGITS or len(denominator or "") > MAX_DIGITS:
         raise ValueError(f"a numerator or denominator has more than {MAX_DIGITS} digits")
@@ -57,7 +68,7 @@ def scalar_from_str(text: str) -> Scalar:
         return p
     q = _int_from_str(denominator)
     if q == 0:
-        raise ValueError(f"zero denominator in {text!r}")
+        raise ValueError(f"zero denominator in {excerpt(text)}")
     return normalize(Fraction(p, q))
 
 

@@ -106,6 +106,38 @@ def test_rational_strings_up_to_max_digits_round_trip():
     assert (scalar_text(-3), scalar_text(Fraction(7, 2))) == ("-3", "7/2")
 
 
+def test_json_integers_have_the_rational_digit_bound():
+    # json reads integer literals only up to the interpreter's int-to-str limit
+    def minors_text(literal):
+        return ('{"kind": "minors", "schema_version": 1, "n": 1, "order": "lsb-factor-1",'
+                f' "coords": ["1/1", {literal}]}}')
+    sevens = "7" * MAX_DIGITS
+    assert parse_minors_document(loads(minors_text("-" + sevens))).coords[1] == \
+        -7 * (10 ** MAX_DIGITS - 1) // 9
+    with pytest.raises(DocumentError, match=f"bad JSON integer: .* more than {MAX_DIGITS} digits"):
+        loads(minors_text("7" * (MAX_DIGITS + 1)))
+
+
+def test_error_messages_cut_a_long_rejected_value():
+    for bad, size in (("x" * 100_000, 100_000), ("1" * (MAX_DIGITS + 1), MAX_DIGITS + 1),
+                      (["1/1"] * 10_000, len(repr(["1/1"] * 10_000)))):
+        doc = {"kind": "minors", "schema_version": 1, "n": 1, "order": "lsb-factor-1",
+               "coords": ["1/1", bad]}
+        with pytest.raises(DocumentError) as err:
+            parse_minors_document(doc)
+        assert len(str(err.value)) < 300 and f"... ({size} characters)" in str(err.value)
+    # past the int-to-str limit, where repr(n) itself would raise
+    with pytest.raises(DocumentError,
+                       match=r"^n must be at least 1, got -1000.*\(5002 characters\)$"):
+        parse_minors_document({"kind": "minors", "schema_version": 1, "n": -10 ** 5000,
+                               "order": "lsb-factor-1", "coords": ["1/1"]})
+    # a short value keeps its whole repr
+    with pytest.raises(DocumentError, match="^bad rational 'x': not of the form p/q in ASCII"
+                                            " digits: 'x'$"):
+        parse_minors_document({"kind": "minors", "schema_version": 1, "n": 1,
+                               "order": "lsb-factor-1", "coords": ["1/1", "x"]})
+
+
 def test_exponent_form_is_rejected_before_building_its_integer():
     # fractions.Fraction reads "1e1000000" as a 3.3-million-bit integer
     tracemalloc.start()

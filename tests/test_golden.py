@@ -331,6 +331,13 @@ def cases() -> dict[str, tuple[list[str], object]]:
     add("check/digits/20001", ["check", "--in", INPUT, "--method", "reconstruct"],
         {"kind": "minors", "schema_version": 1, "n": 1, "order": "lsb-factor-1",
          "coords": ["1/1", "1" + "0" * 20000]})
+    # the same bound on a JSON integer literal, which json.dumps cannot write
+    # past the int-to-str limit
+    for digits in (5000, 20001):
+        add(f"check/digits/json-integer-{digits}",
+            ["check", "--in", INPUT, "--method", "reconstruct"],
+            '{"coords": ["1/1", 1%s], "kind": "minors", "n": 1, "order": "lsb-factor-1",'
+            ' "schema_version": 1}' % ("0" * (digits - 1)))
 
     for n in (2, 3, 4, 5, 7):
         add(f"hd-basis/n={n}", ["hd-basis", "--n", str(n), "--out", "basis.json"])

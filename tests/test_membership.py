@@ -29,7 +29,6 @@ from principal_minors.membership import (
     ZeroLeadingCoordinateError,
 )
 from principal_minors.matrices import det_exact
-from principal_minors.minor_map import all_principal_minors
 from principal_minors.polynomials import GroupElement, act_point, evaluate
 from principal_minors.sampling import random_special_element, random_symmetric_matrix
 from principal_minors.scalars import normalize, sqrt_exact
@@ -500,8 +499,10 @@ def reference_reconstruct(z: MinorVector):
             if det_exact([[rows[a][b] for b in ijk] for a in ijk]) != w[enc]:
                 break
         else:
-            mismatch = next(((enc, w[enc], value)
-                             for enc, value in enumerate(all_principal_minors(rows))
+            # one det_exact per subset, not the kernel that reconstruct uses
+            minors = (det_exact([[rows[a][b] for b in range(n) if enc >> b & 1]
+                                 for a in range(n) if enc >> a & 1]) for enc in range(1 << n))
+            mismatch = next(((enc, w[enc], value) for enc, value in enumerate(minors)
                              if value != w[enc]), None)
             if mismatch is None:
                 return "member", SymmetricMatrix.from_rows(rows)

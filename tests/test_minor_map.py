@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,8 @@ from principal_minors import (
     reversed_minors,
     tensor_product,
 )
+from principal_minors import minor_map
+from principal_minors.matrices import det_exact
 from principal_minors.minor_map import all_principal_minors
 from principal_minors.polynomials import GroupElement, act_point
 from principal_minors.sampling import random_symmetric_matrix
@@ -66,6 +69,96 @@ def test_all_principal_minors_kernel():
         for a in (random_symmetric_matrix(n, rng), random_rational_symmetric(n, rng)):
             minors = list(all_principal_minors(a.entries))
             assert minors == [principal_minor(a, idx) for idx in all_indices(n)]
+
+
+def det_per_subset(rows):
+    """One det_exact per subset, in encoding order."""
+    n = len(rows)
+    return [det_exact([[rows[i][j] for j in range(n) if enc >> j & 1]
+                       for i in range(n) if enc >> i & 1]) for enc in range(1 << n)]
+
+
+def on_edges(n, edges, rng, entry=lambda r: r.choice((-1, 1)) * r.randint(1, 9),
+             diagonal=True):
+    rows = [[rng.randint(-9, 9) if diagonal and i == j else 0 for j in range(n)]
+            for i in range(n)]
+    for i, j in edges:
+        rows[i][j] = rows[j][i] = entry(rng)
+    return rows
+
+
+def tree_plus(n, extra, rng):
+    edges = {(rng.randrange(k), k) for k in range(1, n)}
+    others = [e for e in combinations(range(n), 2) if e not in edges]
+    return sorted(edges | set(rng.sample(others, extra)))
+
+
+def block_diagonal(sizes, rng):
+    """Dense blocks of the given sizes (a size-1 block is an isolated
+    vertex), shuffled so that no block is contiguous."""
+    n, start, edges = sum(sizes), 0, []
+    for size in sizes:
+        edges += combinations(range(start, start + size), 2)
+        start += size
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return on_edges(n, sorted(tuple(sorted((perm[i], perm[j]))) for i, j in edges), rng)
+
+
+def rational(rng):
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+
+
+def test_kernel_factors_over_components():
+    rng = random.Random(44)
+    cases = [block_diagonal(sizes, rng) for sizes in
+             ([1], [3, 1, 4], [1, 1, 2], [5, 1, 2, 1], [4, 4], [2, 3, 1, 3])]
+    for n in (8, 9, 10):
+        for extra in range(4):
+            edges = tree_plus(n, extra, rng)
+            cases += [on_edges(n, edges, rng), on_edges(n, edges, rng, rational),
+                      on_edges(n, edges, rng, diagonal=False)]
+    for rows in cases:
+        assert list(all_principal_minors(rows)) == det_per_subset(rows)
+
+
+def one_sided(rows, rng):
+    """rows with one of each pair of off-diagonal entries set to zero."""
+    rows = [list(row) for row in rows]
+    for i, j in combinations(range(len(rows)), 2):
+        if rng.random() < 0.5:
+            i, j = j, i
+        rows[i][j] = 0
+    return rows
+
+
+def test_kernel_on_rows_with_one_sided_entries():
+    rng = random.Random(45)
+    for n in (4, 6, 8):
+        for _ in range(5):
+            rows = one_sided(on_edges(n, tree_plus(n, 2, rng), rng, rational), rng)
+            assert list(all_principal_minors(rows)) == det_per_subset(rows)
+
+
+def test_kernel_normalizes_products():
+    minors = list(all_principal_minors([[Fraction(1, 2), 0], [0, 2]]))
+    assert minors == [1, Fraction(1, 2), 2, 1] and type(minors[3]) is int
+
+
+def test_kernel_takes_one_determinant_per_connected_subset(monkeypatch):
+    calls = []
+    monkeypatch.setattr(minor_map, "det_exact", lambda rows: calls.append(rows) or det_exact(rows))
+    rng = random.Random(46)
+    for n in range(1, 10):
+        path = on_edges(n, [(k, k + 1) for k in range(n - 1)], rng)
+        # an entry on one side only still joins its two vertices
+        for rows in (path, one_sided(path, rng)):
+            calls.clear()
+            assert list(all_principal_minors(rows)) == det_per_subset(rows)
+            assert len(calls) == n * (n + 1) // 2  # the intervals of the path
+    calls.clear()
+    list(all_principal_minors(on_edges(6, combinations(range(6), 2), rng)))
+    assert len(calls) == 2 ** 6 - 1
 
 
 def test_minor_vector_diagonal_2x2():
