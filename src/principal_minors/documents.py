@@ -74,7 +74,7 @@ def _scalar_in(value: Any) -> Scalar:
     if not isinstance(value, (int, str)):
         raise DocumentError(f"expected a rational string, got {excerpt(value)}")
     try:
-        return as_scalar(value)
+        return scalar_from_str(value) if type(value) is str else as_scalar(value)
     except (TypeError, ValueError) as err:
         raise DocumentError(f"bad rational {excerpt(value)}: {err}") from err
 

@@ -112,21 +112,22 @@ class SymmetricMatrix:
 
 
 def det_exact(rows: list[list[Scalar]]) -> Scalar:
-    """Exact determinant of a matrix of ints and Fractions: cofactors below
-    size 4, else integer Bareiss on rows i scaled by the lcm d_i of their
-    denominators, with det = det(scaled) / prod(d_i)."""
+    """Exact determinant of a matrix of ints and Fractions, an int when it
+    is integral: cofactors below size 4, else integer Bareiss on rows i
+    scaled by the lcm d_i of their denominators, with
+    det = det(scaled) / prod(d_i)."""
     n = len(rows)
     if n == 0:
         return 1
     if n == 1:
-        return rows[0][0]
+        return normalize(rows[0][0])
     if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+        return normalize(rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0])
     if n == 3:
         a, b, c = rows[0]
         d, e, f = rows[1]
         g, h, i = rows[2]
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+        return normalize(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g))
     if all(type(v) is int for row in rows for v in row):
         return _bareiss(rows)
     scales = [lcm(*[v.denominator for v in row]) for row in rows]

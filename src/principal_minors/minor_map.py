@@ -3,11 +3,11 @@
 phi sends [A, t] to the vector with coordinate t^(n-|I|) * det(A_I) at
 the binary index I, where A_I keeps row/column k exactly when i_k = 1
 and the empty minor is 1.  Every all-minors computation goes through
-the one kernel `all_principal_minors`, which factors over connected
-components: a determinant is taken only for a subset whose induced graph
-of nonzero off-diagonal entries is connected, and every other minor is
-the product of two minors already computed.  `minor_vector` is bounded
-at n <= MAX_MINOR_FACTORS.
+the one kernel `all_principal_minors`.  It takes a minor from minors
+already computed when the subset's induced graph of nonzero off-diagonal
+entries has a leaf (an expansion along the leaf's row) or is
+disconnected (a product over components), so a forest takes no
+determinant.  `minor_vector` is bounded at n <= MAX_MINOR_FACTORS.
 """
 
 from __future__ import annotations
@@ -19,11 +19,12 @@ from .indices import BinaryIndex, MinorVector
 from .matrices import SingularMatrixError, SymmetricMatrix, det_exact
 from .scalars import Scalar, as_scalar, normalize
 
-# minor_vector takes one determinant per connected subset: on a dense
-# matrix all 2^n, about x5 per two more rows.  At n = 14 that is 0.9 s on
-# a dense integer matrix and 1.9 s on a dense rational one with
-# denominators 1..9, as before the factorization; a tree plus 0..3 extra
-# edges takes 0.08-0.14 s instead of 0.78 s (2-core x86 VM, Python 3.11).
+# minor_vector takes one determinant per connected subset without a leaf:
+# on a dense matrix 2^n - 1 - n - n(n-1)/2 of them, about x5 per two more
+# rows.  At n = 14 that is 0.5-0.9 s on a dense integer matrix and
+# 1.1-1.8 s on a dense rational one with denominators 1..9, as before the
+# leaf rule; a tree plus 0..3 extra edges takes 0.02-0.04 s, against
+# 0.07-0.22 s with components alone (2-core x86 VM, Python 3.11).
 MAX_MINOR_FACTORS = 14
 
 
@@ -42,35 +43,72 @@ def _principal_submatrix(rows: Sequence[Sequence], enc: int) -> list[list]:
 def all_principal_minors(rows: Sequence[Sequence]) -> Iterator[Scalar]:
     """All 2^n principal minors of exact rows in encoding order; rows need
     not be symmetric.  Let G have an edge {i, j} when rows[i][j] or
-    rows[j][i] is nonzero.  When G[S] is disconnected and C is the
-    component of S's lowest vertex, A_S is block diagonal up to a
-    permutation, so det(A_S) = det(A_C) * det(A_(S-C)): two minors of
-    lower encoding, which the kernel keeps (2^n values).  Only a nonempty
-    connected S takes a determinant, by `det_exact` looked up here at call
-    time, so a patch of `minor_map.det_exact` sees every one.  Lazy: a
-    caller that stops at the first mismatch takes no more."""
+    rows[j][i] is nonzero.  Each minor comes from minors of lower encoding,
+    which the kernel keeps (2^n values), by the first rule that applies:
+    - G[S] has a vertex l with at most one neighbour q in S: expanding
+      along row l,
+      det(A_S) = a_ll * det(A_(S-l)) - a_lq * a_ql * det(A_(S-l-q)),
+      without the second term when l has no neighbour;
+    - G[S] is disconnected, and C is the component of S's lowest vertex:
+      A_S is block diagonal up to a permutation, so
+      det(A_S) = det(A_C) * det(A_(S-C));
+    - otherwise `det_exact`, looked up here at call time, so a patch of
+      `minor_map.det_exact` sees every one.
+    So a forest takes no determinant, and the rest are taken only for
+    connected S whose G[S] has minimum degree at least 2.  Lazy: a caller
+    that stops at the first mismatch takes no more."""
     n = len(rows)
     adjacent = [sum(1 << j for j in range(n) if j != i and (rows[i][j] != 0 or rows[j][i] != 0))
                 for i in range(n)]
+    # deg_S(l) >= deg_G(l) - (n - |S|), so no S larger than this has a leaf;
+    # on a dense matrix only sizes 1 and 2 are scanned
+    leaf_sizes = n + 1 - min(map(int.bit_count, adjacent), default=0)
     values = [1]
     yield 1
     for enc in range(1, 1 << n):
-        # grow the component of the lowest vertex; stop once it is all of S
-        component = frontier = enc & -enc
-        while frontier and component != enc:
-            reach = 0
-            while frontier:
-                bit = frontier & -frontier
-                reach |= adjacent[bit.bit_length() - 1]
-                frontier ^= bit
-            frontier = reach & enc & ~component
-            component |= frontier
-        if component == enc:
-            value = det_exact(_principal_submatrix(rows, enc))
-        else:
+        leaf = _leaf(adjacent, enc) if enc.bit_count() <= leaf_sizes else -1
+        if leaf >= 0:
+            rest = enc ^ (1 << leaf)
+            value = rows[leaf][leaf] * values[rest]
+            neighbour = adjacent[leaf] & rest
+            if neighbour:
+                q = neighbour.bit_length() - 1
+                value -= rows[leaf][q] * rows[q][leaf] * values[rest ^ neighbour]
+            value = normalize(value)
+        elif (component := _component(adjacent, enc)) != enc:
             value = normalize(values[component] * values[enc ^ component])
+        else:
+            value = det_exact(_principal_submatrix(rows, enc))
         values.append(value)
         yield value
+
+
+def _leaf(adjacent: list[int], enc: int) -> int:
+    """The lowest vertex of S = enc with at most one neighbour in S, or -1."""
+    rest = enc
+    while rest:
+        bit = rest & -rest
+        vertex = bit.bit_length() - 1
+        neighbours = adjacent[vertex] & enc
+        if neighbours & (neighbours - 1) == 0:
+            return vertex
+        rest ^= bit
+    return -1
+
+
+def _component(adjacent: list[int], enc: int) -> int:
+    """The component of S = enc's lowest vertex in G[S], grown until it is
+    all of S or stops."""
+    component = frontier = enc & -enc
+    while frontier and component != enc:
+        reach = 0
+        while frontier:
+            bit = frontier & -frontier
+            reach |= adjacent[bit.bit_length() - 1]
+            frontier ^= bit
+        frontier = reach & enc & ~component
+        component |= frontier
+    return component
 
 
 def minor_vector(matrix: SymmetricMatrix, t=1) -> MinorVector:

@@ -57,6 +57,13 @@ def excerpt(value) -> str:
 def scalar_from_str(text: str) -> Scalar:
     """Read "p/q" or "p" (ASCII digits, optional leading "-", q >= 1):
     an int when the value is integral, else a reduced Fraction."""
+    # fast path for the integers scalar_str writes, "-?digits/1", and bare
+    # "-?digits"; isascii() first, as isdigit() also holds for "²" or "١"
+    numerator, slash, denominator = text.partition("/")
+    if not slash or denominator == "1":
+        digits = numerator[1:] if numerator[:1] == "-" else numerator
+        if digits.isascii() and digits.isdigit() and len(digits) <= MAX_DIGITS:
+            return _int_from_str(numerator)
     match = _RATIONAL.fullmatch(text)
     if match is None:
         raise ValueError(f"not of the form p/q in ASCII digits: {excerpt(text)}")

@@ -82,10 +82,13 @@ def test_rational_strings_are_reduced_with_positive_denominator():
 
 def test_rational_strings_read_exactly_the_written_grammar():
     for text, value in (("-3", -3), ("0", 0), ("-0", 0), ("4/2", 2), ("-7/3", Fraction(-7, 3)),
-                        ("6/4", Fraction(3, 2)), ("0/5", 0), ("12/1", 12)):
+                        ("6/4", Fraction(3, 2)), ("0/5", 0), ("12/1", 12), ("-0/1", 0),
+                        ("007/1", 7), ("-007", -7)):
         got = scalar_from_str(text)
         assert got == value and type(got) is type(value)
-    for text in NOT_P_OVER_Q + ("", "-", "1/", "/2", "--1", "1/2/3", "1/1\n", "\u00b2"):
+    # the last seven are at the edge of the "-?digits/1" fast path
+    for text in NOT_P_OVER_Q + ("", "-", "1/", "/2", "--1", "1/2/3", "1/1\n", "\u00b2",
+                                "\u00b2/1", "\u0661/1", "-/1", "--1/1", "+1/1", "1_0/1", "1/1/1"):
         with pytest.raises(ValueError):
             scalar_from_str(text)
     with pytest.raises(ValueError, match="zero denominator in '1/0'"):
@@ -98,7 +101,9 @@ def test_rational_strings_up_to_max_digits_round_trip():
         text = scalar_str(value)
         assert scalar_from_str(text) == value
         assert scalar_text(value) == text.removesuffix("/1")
-    for text in ("1" * (MAX_DIGITS + 1), "-" + "1" * (MAX_DIGITS + 1), "1/" + "3" * (MAX_DIGITS + 1)):
+    assert scalar_from_str("-" + "9" * MAX_DIGITS + "/1") == -(10 ** MAX_DIGITS - 1)
+    for text in ("1" * (MAX_DIGITS + 1), "-" + "1" * (MAX_DIGITS + 1), "1/" + "3" * (MAX_DIGITS + 1),
+                 "1" * (MAX_DIGITS + 1) + "/1"):
         with pytest.raises(ValueError, match=f"more than {MAX_DIGITS} digits"):
             scalar_from_str(text)
     with pytest.raises(ValueError, match=f"more than {MAX_DIGITS} digits"):

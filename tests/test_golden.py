@@ -97,6 +97,24 @@ def tree_plus(n: int, extra: int, rng: random.Random) -> list[list]:
     return on_graph(n, sorted(edges), rng)
 
 
+def rational_entries(rows, rng: random.Random) -> list[list]:
+    """rows with each symmetric pair of entries divided by one random 1..9."""
+    n = len(rows)
+    out = [list(row) for row in rows]
+    for i in range(n):
+        for j in range(i, n):
+            out[i][j] = out[j][i] = Fraction(rows[i][j], rng.randint(1, 9))
+    return out
+
+
+# graphs whose minors the kernel takes mostly or wholly without a determinant
+SPARSE_GRAPHS = {
+    "path": lambda n, rng: on_graph(n, [(k, k + 1) for k in range(n - 1)], rng),
+    "star": lambda n, rng: on_graph(n, [(0, k) for k in range(1, n)], rng),
+    "rational-tree-plus-cycle": lambda n, rng: rational_entries(tree_plus(n, 1, rng), rng),
+}
+
+
 def integer(rng: random.Random) -> int:
     return rng.randint(-9, 9)
 
@@ -180,6 +198,11 @@ CYCLES = {
 BAD_RATIONALS = {"decimal": "1.5", "exponent": "1e1000000", "underscore": "1_0/1",
                 "leading-space": " 1/1", "plus-sign": "+1/1", "arabic-indic": "\u0661/\u0662"}
 DEEPLY_NESTED = "[" * 100_000 + "]" * 100_000
+# coordinates at the edge of the reader's "-?digits/1" fast path
+INTEGER_COORDS = {"arabic-indic-over-1": "\u0661/1", "superscript-over-1": "\u00b2/1",
+                  "negative-zero": "-0/1", "leading-zeros": "007/1",
+                  "digits-20000": "1" + "0" * 19999 + "/1",
+                  "digits-20001": "1" + "0" * 20000 + "/1"}
 
 MALFORMED_MATRICES = {
     "not-json": "nope",
@@ -311,6 +334,19 @@ def cases() -> dict[str, tuple[list[str], object]]:
     for name, document in MALFORMED_MINORS.items():
         for argv in (["check", "--in", INPUT], ["reconstruct", "--in", INPUT, "--out", "m.json"]):
             add(f"{argv[0]}/malformed/{name}", argv, document)
+    for name, text in INTEGER_COORDS.items():
+        document = {"kind": "minors", "schema_version": 1, "n": 1, "order": "lsb-factor-1",
+                    "coords": ["1/1", text]}
+        for argv in (["check", "--in", INPUT], ["reconstruct", "--in", INPUT, "--out", "m.json"]):
+            add(f"{argv[0]}/coordinate/{name}", argv, document)
+    for name, build in SPARSE_GRAPHS.items():
+        for n in (8, 9, 10):
+            rows = build(n, random.Random(f"{name}/{n}"))
+            add(f"minors/{name}/n={n}", ["minors", "--in", INPUT, "--out", "z.json"],
+                matrix_doc(rows))
+            add(f"reconstruct/exact/{name}/n={n}",
+                ["reconstruct", "--in", INPUT, "--out", "matrix.json"],
+                minors_doc(laplace_minors(rows)))
     add("check/malformed/matrix-document", ["check", "--in", INPUT], matrix_doc([[1]]))
     add("reconstruct/unwritable-output", ["reconstruct", "--in", INPUT, "--out", "missing/m.json"],
         minors_doc([1, 2]))

@@ -35,5 +35,13 @@ def test_det_exact_matches_laplace(rows):
     value = det_exact(rows)
     assert value == laplace_det(rows)
     assert rows == before
-    if len(rows) >= 4:
-        assert (type(value) is int) == (Fraction(value).denominator == 1)
+    assert (type(value) is int) == (Fraction(value).denominator == 1)
+
+
+def test_det_exact_is_an_int_when_integral():
+    # the cofactor sizes too, not only Bareiss
+    for rows in ([[Fraction(2)]],
+                 [[Fraction(2, 3), 0], [0, Fraction(3, 2)]],
+                 [[Fraction(2, 3), 1, 0], [0, Fraction(3, 2), 0], [0, 0, 2]]):
+        value = det_exact(rows)
+        assert value == laplace_det(rows) and type(value) is int

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from principal_minors import (
@@ -24,6 +24,7 @@ from principal_minors.matrices import det_exact
 from principal_minors.minor_map import all_principal_minors
 from principal_minors.polynomials import GroupElement, act_point
 from principal_minors.sampling import random_symmetric_matrix
+from principal_minors.scalars import normalize
 
 from conftest import laplace_det, random_rational_symmetric, symmetric_rows_strategy
 
@@ -145,9 +146,15 @@ def test_kernel_normalizes_products():
     assert minors == [1, Fraction(1, 2), 2, 1] and type(minors[3]) is int
 
 
-def test_kernel_takes_one_determinant_per_connected_subset(monkeypatch):
+def count_determinants(monkeypatch):
+    """The rows of each det_exact the kernel takes, in a list."""
     calls = []
     monkeypatch.setattr(minor_map, "det_exact", lambda rows: calls.append(rows) or det_exact(rows))
+    return calls
+
+
+def test_kernel_determinant_counts_on_paths_and_complete_graphs(monkeypatch):
+    calls = count_determinants(monkeypatch)
     rng = random.Random(46)
     for n in range(1, 10):
         path = on_edges(n, [(k, k + 1) for k in range(n - 1)], rng)
@@ -155,10 +162,60 @@ def test_kernel_takes_one_determinant_per_connected_subset(monkeypatch):
         for rows in (path, one_sided(path, rng)):
             calls.clear()
             assert list(all_principal_minors(rows)) == det_per_subset(rows)
-            assert len(calls) == n * (n + 1) // 2  # the intervals of the path
-    calls.clear()
-    list(all_principal_minors(on_edges(6, combinations(range(6), 2), rng)))
-    assert len(calls) == 2 ** 6 - 1
+            assert calls == []  # a forest: every subset has a leaf
+    for n in range(1, 8):
+        calls.clear()
+        rows = on_edges(n, combinations(range(n), 2), rng)
+        assert list(all_principal_minors(rows)) == det_per_subset(rows)
+        # every subset of 3 or more vertices has minimum degree at least 2
+        assert len(calls) == 2 ** n - 1 - n - n * (n - 1) // 2
+
+
+def test_kernel_takes_determinants_only_without_a_leaf(monkeypatch):
+    calls = count_determinants(monkeypatch)
+    rng = random.Random(47)
+    for n in (8, 9, 10):
+        rows = on_edges(n, tree_plus(n, 1, rng), rng, rational)
+        for k in range(n):
+            rows[k][k] = k + 1  # the diagonal of a determinant names its subset
+        calls.clear()
+        assert list(all_principal_minors(rows)) == det_per_subset(rows)
+        adjacent = [sum(1 << j for j in range(n) if j != i and rows[i][j] != 0) for i in range(n)]
+        leafless = [enc for enc in range(1, 1 << n)
+                    if all((adjacent[i] & enc).bit_count() >= 2 for i in range(n) if enc >> i & 1)]
+        # a tree plus one edge has exactly one such subset: its cycle
+        assert len(leafless) == 1
+        assert [sum(1 << (sub[k][k] - 1) for k in range(len(sub))) for sub in calls] == leafless
+
+
+@st.composite
+def sparse_rows(draw):
+    """Rows on a random graph: each pair is unlinked, or linked on both
+    sides or on one; rational entries, and a diagonal that may be zero."""
+    n = draw(st.integers(1, 7))
+    entry = st.fractions(-3, 3, max_denominator=3).map(normalize)
+    nonzero = entry.filter(bool)
+    zero_diagonal = draw(st.booleans())
+    rows = [[0] * n for _ in range(n)]
+    for k in range(n):
+        rows[k][k] = 0 if zero_diagonal else draw(entry)
+    for i, j in combinations(range(n), 2):
+        link = draw(st.sampled_from(("none", "none", "both", "upper", "lower")))
+        if link in ("both", "upper"):
+            rows[i][j] = draw(nonzero)
+        if link in ("both", "lower"):
+            rows[j][i] = draw(nonzero)
+    return rows
+
+
+@given(sparse_rows())
+# a path whose leaf 0 has a singular neighbour: A_{1} = A_{2} = 0
+@example([[1, 2, 0], [3, 0, 1], [0, 1, 0]])
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_one_determinant_per_subset(rows):
+    minors = list(all_principal_minors(rows))
+    assert minors == det_per_subset(rows)
+    assert all(type(value) is int for value in minors if Fraction(value).denominator == 1)
 
 
 def test_minor_vector_diagonal_2x2():
