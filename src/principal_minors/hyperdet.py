@@ -5,10 +5,13 @@ the 8 coordinates supported on T is a highest weight vector (weight 0
 on T, -4 elsewhere).  Lowering it through the complementary factors
 over the exponent box {0..4}^(n-3) yields a weight basis of its
 irreducible summand; the union over all triples is a basis of the whole
-module, of dimension C(n,3) * 5^(n-3).  The basis is built for
-n <= MAX_BASIS_FACTORS only: at n = 7 each of the 35 triples gives about
-600,000 terms (12 s on a 2-core x86 VM, Python 3.11), so the whole basis
-would take about 7 minutes and 21 million terms.
+module, of dimension C(n,3) * 5^(n-3).  Only the (1,2,3) summand is
+lowered: a factor permutation moves it to every other triple's.  The
+basis is built for n <= MAX_BASIS_FACTORS only: at n = 7 each of the 35
+triples gives about 600,000 terms, so the whole basis would hold 21
+million terms, about 1.4 GB, although it would take only about 30 s
+(3 s to lower (1,2,3), 0.8 s to move it to each other triple, on a
+2-core x86 VM with Python 3.11).
 """
 
 from __future__ import annotations
@@ -18,7 +21,15 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .polynomials import TensorPolynomial, Weight
+from .polynomials import (
+    FIELD_BITS,
+    FIELD_MASK,
+    TensorPolynomial,
+    Weight,
+    _invert_permutation,
+    _permute_encoding,
+    leading_key,
+)
 from .rep_theory import weight_basis
 
 MAX_BASIS_FACTORS = 6
@@ -106,11 +117,35 @@ def hd_basis(n: int) -> ModuleBasis:
     if n > MAX_BASIS_FACTORS:
         raise ValueError(f"the degree-4 module basis is built for n <= {MAX_BASIS_FACTORS}"
                          f" only, got n={n}")
+    # Only the (1,2,3) summand is lowered.  The factor permutation sending
+    # 1, 2, 3 to T and 4..n in order to T's complement maps the (1,2,3)
+    # hyperdeterminant to T's and lowering in factor 3 + j to lowering in
+    # T's j-th complementary factor, so it maps each (1,2,3) entry to the
+    # T entry with the same exponents.  It keeps the integer content;
+    # only the sign of the graded-lex leading term can change.  Every
+    # term has degree 4, so its key has four fields.
+    lowered = []
+    for vector in weight_basis(cayley_hyperdet(n, (1, 2, 3))):
+        terms = vector.polynomial._terms
+        fields = [(k & FIELD_MASK, k >> FIELD_BITS & FIELD_MASK,
+                   k >> 2 * FIELD_BITS & FIELD_MASK, k >> 3 * FIELD_BITS) for k in terms]
+        coeffs = list(terms.values())
+        lowered.append((vector.exponents[3:], fields, coeffs, [-c for c in coeffs]))
     entries: list[BasisEntry] = []
     for triple in combinations(range(1, n + 1), 3):
-        hwv = cayley_hyperdet(n, triple)
         complementary = [k for k in range(1, n + 1) if k not in triple]
-        for vector in weight_basis(hwv):
-            exps = tuple(vector.exponents[k - 1] for k in complementary)
-            entries.append(BasisEntry(triple, exps, vector.polynomial, vector.weight))
+        # factor i moves to permutation[i], 0-based, as in GroupElement
+        permutation = [k - 1 for k in triple + tuple(complementary)]
+        inverse = _invert_permutation(permutation)
+        table = [0] + [_permute_encoding(enc, inverse) + 1 for enc in range(1 << n)]
+        for exps, fields, coeffs, negated in lowered:
+            images = [sorted((table[a], table[b], table[c], table[d])) for a, b, c, d in fields]
+            keys = [d << 3 * FIELD_BITS | c << 2 * FIELD_BITS | b << FIELD_BITS | a
+                    for a, b, c, d in images]
+            signed = negated if coeffs[keys.index(leading_key(keys))] < 0 else coeffs
+            polynomial = TensorPolynomial(n, dict(zip(keys, signed)))
+            weight = [0] * n
+            for k, e in zip(complementary, exps):
+                weight[k - 1] = -4 + 2 * e
+            entries.append(BasisEntry(triple, exps, polynomial, tuple(weight)))
     return ModuleBasis(n, tuple(entries))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby, product
 from math import comb, factorial, gcd, lcm, prod
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .indices import BinaryIndex, MinorVector
 from .scalars import Scalar, as_scalar, normalize
@@ -62,6 +62,18 @@ def grlex_key(key: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     pairs in ascending encoding order."""
     encodings = unpack_monomial(key)
     return (len(encodings), tuple((enc, len(list(run))) for enc, run in groupby(encodings)))
+
+
+def leading_key(keys: Collection[int]) -> int:
+    """The graded-lex largest of some (nonempty) monomial keys."""
+    # Graded-lex compares the degree, then the lowest encoding (the
+    # lowest field).  Every field is at least 1, so the keys of the top
+    # degree D are those at least 2^(FIELD_BITS * (D - 1)), and the
+    # largest key has degree D.  Only ties on both run grlex_key.
+    largest = max(keys)
+    floor = 1 << (largest.bit_length() - 1) // FIELD_BITS * FIELD_BITS if largest else 0
+    top = max(k & FIELD_MASK for k in keys if k >= floor)
+    return max((k for k in keys if k >= floor and k & FIELD_MASK == top), key=grlex_key)
 
 
 class TensorPolynomial:
@@ -216,14 +228,7 @@ class TensorPolynomial:
             return self
         denom = lcm(*(c.denominator for c in self._terms.values()))
         content = gcd(*(c.numerator * (denom // c.denominator) for c in self._terms.values()))
-        # Graded-lex compares the degree, then the lowest encoding (the
-        # lowest field); every field is at least 1, so the degree is
-        # ceil(bit_length / FIELD_BITS).  Only ties on both run grlex_key.
-        prefix = {k: (k.bit_length() + FIELD_BITS - 1) // FIELD_BITS << FIELD_BITS
-                  | k & FIELD_MASK for k in self._terms}
-        top = max(prefix.values())
-        leading = max((k for k, p in prefix.items() if p == top), key=grlex_key)
-        if self._terms[leading] < 0:
+        if self._terms[leading_key(self._terms)] < 0:
             content = -content
         return TensorPolynomial(self.n, {k: c * denom // content for k, c in self._terms.items()})
 

@@ -11,7 +11,7 @@ files it wrote.
 
 Argv that argparse itself rejects stays out: its usage text wraps with
 COLUMNS and differs between Python versions.  `hd-basis --n 6` stays out
-too (rendering and digesting its document takes about 12 s); `check
+too (rendering and digesting its document takes about 10 s); `check
 --method basis` at n = 6 covers that bound and shares `hd_basis`'s cache
 with the rest of the suite, and tests/test_hyperdet.py pins that basis
 by content.

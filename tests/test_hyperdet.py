@@ -18,9 +18,12 @@ from principal_minors import (
     is_highest_weight,
     minor_vector,
     split_by_top_variable,
+    weight_basis,
     weight_of,
 )
+from principal_minors import hyperdet
 from principal_minors.documents import basis_digest
+from principal_minors.hyperdet import BasisEntry
 from principal_minors.polynomials import unpack_monomial
 from principal_minors.scalars import scalar_str
 from principal_minors.sampling import random_symmetric_matrix
@@ -83,11 +86,12 @@ def test_basis_n3_is_single_hyperdet():
 
 
 def test_basis_entries_are_degree_4_weight_vectors():
-    for entry in hd_basis(4):
-        assert entry.polynomial.degree() == 4
-        assert entry.polynomial.is_homogeneous()
-        assert weight_of(entry.polynomial) == entry.weight
-        assert entry.polynomial.normalized() == entry.polynomial
+    for n in (4, 5):
+        for entry in hd_basis(n):
+            assert entry.polynomial.degree() == 4
+            assert entry.polynomial.is_homogeneous()
+            assert weight_of(entry.polynomial) == entry.weight
+            assert entry.polynomial.normalized() == entry.polynomial
 
 
 def test_basis_weight_arithmetic():
@@ -98,6 +102,41 @@ def test_basis_weight_arithmetic():
             for k, e in zip(complementary, entry.exponents):
                 expected[k - 1] = -4 + 2 * e
             assert entry.weight == tuple(expected)
+
+
+def _lowered_per_triple(n, triples):
+    """Reference for hd_basis: the entries of the given triples, each
+    triple's hyperdeterminant lowered on its own, without the S_n action."""
+    entries = []
+    for triple in triples:
+        complementary = [k for k in range(1, n + 1) if k not in triple]
+        for vector in weight_basis(cayley_hyperdet(n, triple)):
+            exps = tuple(vector.exponents[k - 1] for k in complementary)
+            entries.append(BasisEntry(triple, exps, vector.polynomial, vector.weight))
+    return entries
+
+
+@pytest.mark.parametrize("n, triples", [
+    (3, None), (4, None), (5, None),
+    (6, [(1, 2, 3), (1, 5, 6), (2, 4, 6), (4, 5, 6)]),
+])
+def test_transported_basis_equals_per_triple_lowering(n, triples):
+    triples = triples or list(combinations(range(1, n + 1), 3))
+    transported = [e for e in hd_basis(n) if e.triple in triples]
+    assert transported == _lowered_per_triple(n, triples)
+
+
+def test_basis_lowers_one_triple_only(monkeypatch):
+    calls = []
+
+    def counting(hwv):
+        calls.append(hwv)
+        return weight_basis(hwv)
+
+    monkeypatch.setattr(hyperdet, "weight_basis", counting)
+    basis = hd_basis.__wrapped__(5)  # uncached, so the shared cache stays filled
+    assert calls == [cayley_hyperdet(5, (1, 2, 3))]
+    assert list(basis) == list(hd_basis(5))
 
 
 def test_basis_top_variable_degree_bound():

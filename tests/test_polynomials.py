@@ -26,7 +26,7 @@ from principal_minors import (
     tensor_product,
     weight_of,
 )
-from principal_minors.polynomials import FIELD_MASK, apply_factor_matrix, grlex_key
+from principal_minors.polynomials import FIELD_MASK, apply_factor_matrix, grlex_key, leading_key
 from principal_minors.sampling import random_special_element
 
 X = TensorPolynomial.variable
@@ -103,6 +103,7 @@ def test_normalized_sign_follows_the_graded_lex_leading_term():
                 continue
             coeffs = poly._terms
             lead = max(coeffs, key=grlex_key)
+            assert leading_key(coeffs) == lead
             ties += sum(1 for k in coeffs if k != lead and grlex_key(k)[0] == grlex_key(lead)[0]
                         and k & FIELD_MASK == lead & FIELD_MASK)
             q = poly.normalized()._terms
