@@ -24,11 +24,11 @@ from math import comb
 from .polynomials import (
     FIELD_BITS,
     FIELD_MASK,
+    REPEAT,
     TensorPolynomial,
     Weight,
     _invert_permutation,
     _permute_encoding,
-    leading_key,
 )
 from .rep_theory import weight_basis
 
@@ -122,13 +122,14 @@ def hd_basis(n: int) -> ModuleBasis:
     # hyperdeterminant to T's and lowering in factor 3 + j to lowering in
     # T's j-th complementary factor, so it maps each (1,2,3) entry to the
     # T entry with the same exponents.  It keeps the integer content;
-    # only the sign of the graded-lex leading term can change.  Every
-    # term has degree 4, so its key has four fields.
+    # only the sign of the leading term, the largest key, can change.
+    # Every term has degree 4, so its key has four fields; a moved and
+    # sorted field equal to the one above it gets the REPEAT bit.
     lowered = []
     for vector in weight_basis(cayley_hyperdet(n, (1, 2, 3))):
         terms = vector.polynomial._terms
-        fields = [(k & FIELD_MASK, k >> FIELD_BITS & FIELD_MASK,
-                   k >> 2 * FIELD_BITS & FIELD_MASK, k >> 3 * FIELD_BITS) for k in terms]
+        fields = [(k >> 3 * FIELD_BITS, k >> 2 * FIELD_BITS & FIELD_MASK,
+                   k >> FIELD_BITS & FIELD_MASK, k & FIELD_MASK) for k in terms]
         coeffs = list(terms.values())
         lowered.append((vector.exponents[3:], fields, coeffs, [-c for c in coeffs]))
     entries: list[BasisEntry] = []
@@ -140,9 +141,10 @@ def hd_basis(n: int) -> ModuleBasis:
         table = [0] + [_permute_encoding(enc, inverse) + 1 for enc in range(1 << n)]
         for exps, fields, coeffs, negated in lowered:
             images = [sorted((table[a], table[b], table[c], table[d])) for a, b, c, d in fields]
-            keys = [d << 3 * FIELD_BITS | c << 2 * FIELD_BITS | b << FIELD_BITS | a
+            keys = [a << 3 * FIELD_BITS | (b | REPEAT if b == a else b) << 2 * FIELD_BITS
+                    | (c | REPEAT if c == b else c) << FIELD_BITS | (d | REPEAT if d == c else d)
                     for a, b, c, d in images]
-            signed = negated if coeffs[keys.index(leading_key(keys))] < 0 else coeffs
+            signed = negated if coeffs[keys.index(max(keys))] < 0 else coeffs
             polynomial = TensorPolynomial(n, dict(zip(keys, signed)))
             weight = [0] * n
             for k, e in zip(complementary, exps):

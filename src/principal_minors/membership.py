@@ -31,7 +31,7 @@ from .indices import MinorVector
 from .matrices import SymmetricMatrix, det_exact
 from .minor_map import all_principal_minors, minor_vector
 from .polynomials import GroupElement, act_point, evaluate
-from .scalars import Scalar, normalize, scalar_text, sqrt_exact
+from .scalars import Scalar, excerpt, normalize, scalar_text, sqrt_exact
 
 VERDICT_MEMBER = "member"
 VERDICT_NON_MEMBER = "non-member"
@@ -542,6 +542,8 @@ MAX_SIGN_FLIP_FACTORS = 6
 
 
 def check_sign_flip_size(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"size must be at least 1, got {excerpt(n)}")
     if n > MAX_SIGN_FLIP_FACTORS:
         raise ValueError(f"size too large: 2^(n(n-1)/2) patterns beyond"
                          f" n={MAX_SIGN_FLIP_FACTORS}")

@@ -121,8 +121,9 @@ def minor_vector(matrix: SymmetricMatrix, t=1) -> MinorVector:
                          f" only, got n={n}")
     minors = all_principal_minors(matrix.entries)
     if t != 1:
-        minors = (value * t ** (n - bin(enc).count("1")) for enc, value in enumerate(minors))
-    return MinorVector(n, tuple(map(normalize, minors)))
+        minors = (normalize(value * t ** (n - bin(enc).count("1")))
+                  for enc, value in enumerate(minors))
+    return MinorVector(n, tuple(minors))
 
 
 def tensor_product(z1: MinorVector, z2: MinorVector) -> MinorVector:

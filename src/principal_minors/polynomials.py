@@ -8,29 +8,33 @@ X^(i_k=1) to 0 (scalar fixed to 1), hence raises weight component k by
 2; raising is the transpose.  Under this convention highest weight
 vectors carry the numerically smallest weights.
 
-A monomial is packed into a single int, its key: the encodings of its
-factors in ascending order, repeats included, each stored as enc + 1 in
-its own 15-bit field (the smallest in the lowest bits).  So
-X[0]^2 * X[5] is the list (0, 0, 5), every monomial has exactly one
-key, and the degree is the field count.  The 15-bit field caps n at
-14 factors; exponents are unbounded.  Keys make hashing and comparison
-cheap in the basis-generation loops.
+A monomial is packed into a single int, its key: one 16-bit field per
+factor, repeats included, in ascending encoding order from the most
+significant field down.  A field holds enc + 1, with the REPEAT bit
+set when it repeats the field above it, so X[0]^2 * X[5] is the fields
+(1, REPEAT | 1, 6), every monomial has exactly one key and the degree
+is the field count.  Integer order on keys is graded-lex order (the
+degree, then the (encoding, exponent) pairs by ascending encoding):
+more fields make a larger int, and a repeat field beats one that opens
+a new encoding, as a larger exponent does.  n is at most MAX_FACTORS =
+14, so enc + 1 fits below REPEAT; exponents are unbounded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, groupby, product
+from itertools import combinations_with_replacement, product
 from math import comb, factorial, gcd, lcm, prod
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .indices import BinaryIndex, MinorVector
 from .scalars import Scalar, as_scalar, normalize
 
-FIELD_BITS = 15
-FIELD_MASK = (1 << FIELD_BITS) - 1
-MAX_FACTORS = FIELD_BITS - 1
+FIELD_BITS = 16
+REPEAT = 1 << (FIELD_BITS - 1)
+FIELD_MASK = REPEAT - 1  # a field's enc + 1, without its REPEAT bit
+MAX_FACTORS = 14
 
 Weight = tuple[int, ...]
 
@@ -42,9 +46,10 @@ def _check_factor_count(n: int) -> None:
 
 def pack_monomial(encodings: Iterable[int]) -> int:
     """The key of the monomial with these factor encodings, in any order."""
-    key = 0
-    for enc in sorted(encodings, reverse=True):
-        key = (key << FIELD_BITS) | (enc + 1)
+    key = previous = 0
+    for enc in sorted(encodings):
+        key = key << FIELD_BITS | enc + 1 | (REPEAT if enc + 1 == previous else 0)
+        previous = enc + 1
     return key
 
 
@@ -54,26 +59,8 @@ def unpack_monomial(key: int) -> list[int]:
     while key:
         encodings.append((key & FIELD_MASK) - 1)
         key >>= FIELD_BITS
+    encodings.reverse()
     return encodings
-
-
-def grlex_key(key: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Graded-lex sort key: total degree, then the (encoding, exponent)
-    pairs in ascending encoding order."""
-    encodings = unpack_monomial(key)
-    return (len(encodings), tuple((enc, len(list(run))) for enc, run in groupby(encodings)))
-
-
-def leading_key(keys: Collection[int]) -> int:
-    """The graded-lex largest of some (nonempty) monomial keys."""
-    # Graded-lex compares the degree, then the lowest encoding (the
-    # lowest field).  Every field is at least 1, so the keys of the top
-    # degree D are those at least 2^(FIELD_BITS * (D - 1)), and the
-    # largest key has degree D.  Only ties on both run grlex_key.
-    largest = max(keys)
-    floor = 1 << (largest.bit_length() - 1) // FIELD_BITS * FIELD_BITS if largest else 0
-    top = max(k & FIELD_MASK for k in keys if k >= floor)
-    return max((k for k in keys if k >= floor and k & FIELD_MASK == top), key=grlex_key)
 
 
 class TensorPolynomial:
@@ -142,19 +129,30 @@ class TensorPolynomial:
         return not self._terms
 
     def degree(self) -> int:
-        if not self._terms:
-            return 0
-        return max(len(unpack_monomial(k)) for k in self._terms)
+        return len(unpack_monomial(max(self._terms, default=0)))
 
     def is_homogeneous(self) -> bool:
         degrees = {len(unpack_monomial(k)) for k in self._terms}
         return len(degrees) <= 1
 
     def terms(self) -> Iterator[tuple[tuple[tuple[int, int], ...], Scalar]]:
-        """(encoding, exponent) pairs and coefficients in graded-lex order
-        (deterministic); keys are unique, so coefficients never compare."""
-        for (_, pairs), coeff in sorted((grlex_key(k), c) for k, c in self._terms.items()):
-            yield pairs, coeff
+        """(encoding, exponent) pairs and coefficients in graded-lex order,
+        which is the keys' integer order."""
+        for key in sorted(self._terms):
+            coeff = self._terms[key]
+            # from the lowest field up: a repeat field raises the exponent
+            # of the field that opens its run, which lies above it
+            pairs = []
+            exp = 1
+            while key:
+                if key & REPEAT:
+                    exp += 1
+                else:
+                    pairs.append(((key & FIELD_MASK) - 1, exp))
+                    exp = 1
+                key >>= FIELD_BITS
+            pairs.reverse()
+            yield tuple(pairs), coeff
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, TensorPolynomial)
@@ -228,7 +226,7 @@ class TensorPolynomial:
             return self
         denom = lcm(*(c.denominator for c in self._terms.values()))
         content = gcd(*(c.numerator * (denom // c.denominator) for c in self._terms.values()))
-        if self._terms[leading_key(self._terms)] < 0:
+        if self._terms[max(self._terms)] < 0:
             content = -content
         return TensorPolynomial(self.n, {k: c * denom // content for k, c in self._terms.items()})
 

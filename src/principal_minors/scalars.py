@@ -17,7 +17,6 @@ read 1,000,000 (2-core x86 VM, Python 3.11).
 
 from __future__ import annotations
 
-import re
 from decimal import Decimal
 from fractions import Fraction
 from math import isqrt
@@ -25,7 +24,6 @@ from typing import Union
 
 Scalar = Union[int, Fraction]
 
-_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?", re.ASCII)
 MAX_DIGITS = 20_000
 EXCERPT_CHARS = 64
 _DIGIT_BOUND = 10 ** MAX_DIGITS
@@ -57,21 +55,17 @@ def excerpt(value) -> str:
 def scalar_from_str(text: str) -> Scalar:
     """Read "p/q" or "p" (ASCII digits, optional leading "-", q >= 1):
     an int when the value is integral, else a reduced Fraction."""
-    # fast path for the integers scalar_str writes, "-?digits/1", and bare
-    # "-?digits"; isascii() first, as isdigit() also holds for "²" or "١"
+    # isascii() first, as isdigit() also holds for "²" or "١"
     numerator, slash, denominator = text.partition("/")
-    if not slash or denominator == "1":
-        digits = numerator[1:] if numerator[:1] == "-" else numerator
-        if digits.isascii() and digits.isdigit() and len(digits) <= MAX_DIGITS:
-            return _int_from_str(numerator)
-    match = _RATIONAL.fullmatch(text)
-    if match is None:
+    digits = numerator[1:] if numerator[:1] == "-" else numerator
+    integral = denominator == "1" or not slash
+    if not (digits.isascii() and digits.isdigit()
+            and (integral or denominator.isascii() and denominator.isdigit())):
         raise ValueError(f"not of the form p/q in ASCII digits: {excerpt(text)}")
-    numerator, denominator = match.groups()
-    if len(numerator.lstrip("-")) > MAX_DIGITS or len(denominator or "") > MAX_DIGITS:
+    if len(digits) > MAX_DIGITS or not integral and len(denominator) > MAX_DIGITS:
         raise ValueError(f"a numerator or denominator has more than {MAX_DIGITS} digits")
     p = _int_from_str(numerator)
-    if denominator is None or denominator == "1":
+    if integral:
         return p
     q = _int_from_str(denominator)
     if q == 0:

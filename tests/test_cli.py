@@ -444,6 +444,9 @@ def test_experiment_sign_flip_checks_its_bound_before_sampling(monkeypatch, caps
     assert main(["experiment", "sign-flip", "--n", str(MAX_SIGN_FLIP_FACTORS + 1)]) == 2
     assert capsys.readouterr().err == ("error: size too large: 2^(n(n-1)/2) patterns beyond"
                                        f" n={MAX_SIGN_FLIP_FACTORS}\n")
+    for n in (0, -3):
+        assert main(["experiment", "sign-flip", "--n", str(n)]) == 2
+        assert capsys.readouterr().err == f"error: size must be at least 1, got {n}\n"
 
 
 def test_cli_entry_point_runs(tmp_path):

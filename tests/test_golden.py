@@ -11,7 +11,7 @@ files it wrote.
 
 Argv that argparse itself rejects stays out: its usage text wraps with
 COLUMNS and differs between Python versions.  `hd-basis --n 6` stays out
-too (rendering and digesting its document takes about 10 s); `check
+too (rendering and digesting its document takes 8-10 s); `check
 --method basis` at n = 6 covers that bound and shares `hd_basis`'s cache
 with the rest of the suite, and tests/test_hyperdet.py pins that basis
 by content.
@@ -420,6 +420,8 @@ def cases() -> dict[str, tuple[list[str], object]]:
         ["experiment", "sign-flip", "--n", "4", "--trials", "2", "--out", "flip.json"])
     add("experiment/sign-flip/n=5/no-output", ["experiment", "sign-flip", "--n", "5"])
     add("experiment/sign-flip/trials=0", ["experiment", "sign-flip", "--n", "4", "--trials", "0"])
+    for n in (0, -3):
+        add(f"experiment/sign-flip/n={n}", ["experiment", "sign-flip", "--n", str(n)])
     return cases
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import groupby
 from math import comb, gcd
 
 import pytest
@@ -26,7 +27,12 @@ from principal_minors import (
     tensor_product,
     weight_of,
 )
-from principal_minors.polynomials import FIELD_MASK, apply_factor_matrix, grlex_key, leading_key
+from principal_minors.polynomials import (
+    MAX_FACTORS,
+    apply_factor_matrix,
+    pack_monomial,
+    unpack_monomial,
+)
 from principal_minors.sampling import random_special_element
 
 X = TensorPolynomial.variable
@@ -87,11 +93,67 @@ def test_repeated_encoding_is_one_monomial():
     assert mixed == X(2, 0) ** 2 * X(2, 3) ** 2
 
 
-def test_normalized_sign_follows_the_graded_lex_leading_term():
-    # reference: the full graded-lex max over every key; normalized
-    # narrows it to the keys with the largest (degree, lowest encoding)
-    rng = random.Random(61)
+def grlex_key(key: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Reference graded-lex sort key: total degree, then the (encoding,
+    exponent) pairs in ascending encoding order."""
+    encodings = unpack_monomial(key)
+    return (len(encodings), tuple((enc, len(list(run))) for enc, run in groupby(encodings)))
+
+
+def random_monomials(n, rng):
+    """A few random monomials on n factors, from a small pool of encodings
+    so that encodings repeat within and across monomials; the largest
+    encoding is always in the pool."""
+    size = 1 << n
+    pool = [size - 1] + [rng.randrange(size) for _ in range(3)]
+    return [[rng.choice(pool) for _ in range(rng.randint(0, 6))] for _ in range(rng.randint(1, 12))]
+
+
+def test_key_order_is_graded_lex():
+    rng = random.Random(18)
     ties = 0
+    for n in range(1, MAX_FACTORS + 1):
+        for _ in range(40):
+            keys = {pack_monomial(encodings) for encodings in random_monomials(n, rng)}
+            assert sorted(keys) == sorted(keys, key=grlex_key)
+            lead = max(keys, key=grlex_key)
+            assert max(keys) == lead
+            # the lead shares its degree and lowest encoding with another
+            # key, so a REPEAT bit or a lower field decides the max
+            degree, pairs = grlex_key(lead)
+            ties += any(k != lead and grlex_key(k)[0] == degree
+                        and grlex_key(k)[1][0][0] == pairs[0][0] for k in keys)
+    assert ties > 50
+
+
+def test_keys_round_trip_at_the_widest_field():
+    # at n = 14 the largest encoding 2^14 - 1 fills a field with enc + 1 = 2^14
+    # and, repeated, with the REPEAT bit above it
+    top = (1 << MAX_FACTORS) - 1
+    for encodings in ([top] * 5, [0, top, top], [0, 0, top - 1, top, top]):
+        key = pack_monomial(encodings)
+        assert unpack_monomial(key) == encodings
+        assert key.bit_length() <= 16 * len(encodings)
+        poly = TensorPolynomial(MAX_FACTORS, {key: 1})
+        assert poly.degree() == len(encodings)
+        assert list(poly.terms()) == [(grlex_key(key)[1], 1)]
+    with pytest.raises(ValueError):
+        TensorPolynomial.variable(MAX_FACTORS, top + 1)
+
+
+def test_terms_lists_the_reference_pairs_in_graded_lex_order():
+    rng = random.Random(19)
+    for n in range(1, MAX_FACTORS + 1):
+        for _ in range(10):
+            terms = {pack_monomial(encodings): rng.randint(1, 9)
+                     for encodings in random_monomials(n, rng)}
+            expected = [(grlex_key(key)[1], terms[key]) for key in sorted(terms, key=grlex_key)]
+            assert list(TensorPolynomial(n, terms).terms()) == expected
+
+
+def test_normalized_sign_follows_the_graded_lex_leading_term():
+    # reference: the graded-lex max over every key
+    rng = random.Random(61)
     for n in range(1, 6):
         for _ in range(80):
             pool = rng.sample(range(1 << n), min(3, 1 << n))
@@ -103,16 +165,12 @@ def test_normalized_sign_follows_the_graded_lex_leading_term():
                 continue
             coeffs = poly._terms
             lead = max(coeffs, key=grlex_key)
-            assert leading_key(coeffs) == lead
-            ties += sum(1 for k in coeffs if k != lead and grlex_key(k)[0] == grlex_key(lead)[0]
-                        and k & FIELD_MASK == lead & FIELD_MASK)
             q = poly.normalized()._terms
             assert q.keys() == coeffs.keys()
             assert q[lead] > 0
             assert all(q[k] * coeffs[lead] == q[lead] * c for k, c in coeffs.items())
             assert all(Fraction(c).denominator == 1 for c in q.values())
             assert gcd(*(int(c) for c in q.values())) == 1
-    assert ties > 20  # the narrowed set often keeps several keys
 
 
 def test_exponents_are_unbounded_but_positive():
