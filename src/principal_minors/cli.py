@@ -40,7 +40,7 @@ from .rep_theory import (
     sl2_dim,
 )
 from .sampling import random_symmetric_matrix
-from .scalars import scalar_from_str, scalar_str, scalar_text
+from .scalars import excerpt, scalar_from_str, scalar_str, scalar_text
 
 
 def _read_document(path: str) -> dict:
@@ -109,7 +109,7 @@ def _parse_partition_tuple(text: str) -> tuple[Partition, ...]:
     try:
         return tuple(Partition.from_string(part) for part in text.split(";") if part.strip())
     except ValueError as err:
-        raise DocumentError(f"bad partition tuple {text!r}: {err}") from err
+        raise DocumentError(f"bad partition tuple {excerpt(text)}: {err}") from err
 
 
 def _cmd_rep_multiplicity(args) -> int:
@@ -154,7 +154,7 @@ def _cmd_rep_lower(args) -> int:
 
 def _cmd_experiment_sign_flip(args) -> int:
     if args.trials < 1:
-        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+        raise ValueError(f"--trials must be at least 1, got {excerpt(args.trials)}")
     check_sign_flip_size(args.n)  # before sampling an n x n matrix
     rng = random.Random(args.seed)
     full = 1 << args.n

@@ -31,6 +31,7 @@ from .polynomials import (
     _permute_encoding,
 )
 from .rep_theory import weight_basis
+from .scalars import excerpt
 
 MAX_BASIS_FACTORS = 6
 
@@ -116,7 +117,7 @@ def hd_basis(n: int) -> ModuleBasis:
         raise ValueError("module is empty below 3 factors")
     if n > MAX_BASIS_FACTORS:
         raise ValueError(f"the degree-4 module basis is built for n <= {MAX_BASIS_FACTORS}"
-                         f" only, got n={n}")
+                         f" only, got n={excerpt(n)}")
     # Only the (1,2,3) summand is lowered.  The factor permutation sending
     # 1, 2, 3 to T and 4..n in order to T's complement maps the (1,2,3)
     # hyperdeterminant to T's and lowering in factor 3 + j to lowering in

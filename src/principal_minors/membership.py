@@ -335,37 +335,31 @@ def _cycle_product(cycle: list[int], diag: list, s: dict, z: MinorVector) -> Sca
     return normalize(Fraction(value) / 2)
 
 
-def _symmetric_rows(diag: list, roots: dict, fundamental: list) -> list[list]:
-    """Forest edges get roots[e] (a square root of s_e); each other edge
-    gets its cycle product divided by the roots along its forest path."""
-    n = len(diag)
-    rows = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
-    for (i, j), root in roots.items():
-        rows[i][j] = rows[j][i] = root
-    for (i, j), path_i, path_j, pi in fundamental:
-        value = Fraction(pi)
-        for e in path_i + path_j:
-            value /= roots[e]
-        rows[i][j] = rows[j][i] = normalize(value)
-    return rows
-
-
-def _similar_rows(diag: list, s: dict, parent: list[int], fundamental: list) -> list[list]:
-    """The rational B diagonally similar to the symmetric A: b_pc = 1 and
-    b_cp = s_pc from parent p to child c on the forest; off it, b_ij
-    closes the cycle i -> j -> lca -> i with product pi, and
-    b_ji = s_ij / b_ij."""
+def _gauge_rows(diag: list, parent: list[int], fundamental: list,
+                down: dict, up: Optional[dict] = None) -> list[list]:
+    """The matrix with the given diagonal in one forest gauge: b_pc = down[e]
+    and b_cp = up[e] from parent p to child c on the forest.  Off it, b_ij
+    is the product pi around its cycle i -> j -> lca -> i divided by down
+    along path_i and up along path_j, and b_ji the mirror.  Without `up`,
+    up is down and b_ji a copy of b_ij, so floats stay exactly symmetric."""
+    symmetric, up = up is None, down if up is None else up
     n = len(diag)
     rows = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
     for c, p in enumerate(parent):
         if p != c:
-            rows[p][c], rows[c][p] = 1, s[_edge(p, c)]
-    for (i, j), _, path_j, pi in fundamental:
+            rows[p][c], rows[c][p] = down[_edge(p, c)], up[_edge(p, c)]
+
+    def close(pi, path_down, path_up):
         value = Fraction(pi)
-        for e in path_j:
-            value /= s[e]
-        rows[i][j] = normalize(value)
-        rows[j][i] = normalize(s[(i, j)] / value)
+        for e in path_down:
+            value /= down[e]
+        for e in path_up:
+            value /= up[e]
+        return normalize(value)
+
+    for (i, j), path_i, path_j, pi in fundamental:
+        rows[i][j] = close(pi, path_i, path_j)
+        rows[j][i] = rows[i][j] if symmetric else close(pi, path_j, path_i)
     return rows
 
 
@@ -392,9 +386,10 @@ def reconstruct(z: MinorVector, mode: str = "exact") -> SymmetricMatrix:
     the diagonal comes from the |I| = 1 coordinates, each s_ij = a_ij^2
     from |I| = 2, and the product of the a_e around each cycle of a
     minimum cycle basis from that cycle's coordinate (`_solve_gauge`).
-    The D A D gauge is fixed by a nonnegative spanning forest of the
-    nonzero-off-diagonal graph.  When every s_e is a rational square that
-    gives the rational symmetric A; otherwise the rational B that is
+    One builder, `_gauge_rows`, writes each matrix in a gauge of a
+    spanning forest of the nonzero-off-diagonal graph: the rational roots
+    of the s_e alone give the rational symmetric A; when some s_e
+    is not a rational square, 1 down and s_e up give the rational B
     diagonally similar to a complex symmetric one.  The candidate is
     checked on every |I| = 3 coordinate and then on all 2^n.
 
@@ -406,9 +401,8 @@ def reconstruct(z: MinorVector, mode: str = "exact") -> SymmetricMatrix:
     verified B when z is a member with no rational symmetric matrix.
     z_[0..0] = 0 raises ZeroLeadingCoordinateError, a ValueError.
     Numeric mode makes the same exact decision and writes the symmetric
-    matrix in complex floats: forest edges get a square root of s_e
-    (rational when it exists), every other edge its cycle product divided
-    by its forest path.
+    matrix in complex floats: the verified A, or when some s_e is not a
+    rational square the third gauge, roots alone with cmath.sqrt for it.
     """
     if mode not in ("exact", "numeric"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -419,10 +413,8 @@ def reconstruct(z: MinorVector, mode: str = "exact") -> SymmetricMatrix:
     diag, s, parent, forest, fundamental = _solve_gauge(z)
     roots = {e: sqrt_exact(s[e]) for e in forest}
     non_square = next((e for e, root in roots.items() if root is None), None)
-    if non_square is None:
-        rows = _symmetric_rows(diag, roots, fundamental)
-    else:
-        rows = _similar_rows(diag, s, parent, fundamental)
+    rows = (_gauge_rows(diag, parent, fundamental, roots) if non_square is None
+            else _gauge_rows(diag, parent, fundamental, dict.fromkeys(forest, 1), s))
     _verify(rows, z)
     if mode == "exact":
         if non_square is not None:
@@ -433,8 +425,8 @@ def reconstruct(z: MinorVector, mode: str = "exact") -> SymmetricMatrix:
         return SymmetricMatrix.from_rows(rows)
     try:
         if non_square is not None:
-            rows = _symmetric_rows(diag, {e: cmath.sqrt(s[e]) if root is None else root
-                                          for e, root in roots.items()}, fundamental)
+            rows = _gauge_rows(diag, parent, fundamental, {
+                e: cmath.sqrt(s[e]) if root is None else root for e, root in roots.items()})
         return SymmetricMatrix(n, tuple(tuple(complex(v) for v in row) for row in rows))
     except OverflowError:
         raise ValueError("numeric mode: an entry does not fit a complex float") from None

@@ -26,6 +26,7 @@ from .polynomials import (
     lower,
     weight_of,
 )
+from .scalars import excerpt, scalar_from_str
 
 # Bounds on the work of one call, each a few tenths of a second at most
 # on a 2-core x86 VM with Python 3.11.  The characters of one partition
@@ -55,7 +56,11 @@ class Partition:
 
     @classmethod
     def from_string(cls, text: str) -> "Partition":
-        return cls(tuple(int(p) for p in text.split(",") if p.strip()))
+        """Comma-separated parts of ASCII digits, as scalar_from_str reads."""
+        parts = text.split(",")
+        if not all(part.isascii() and part.isdigit() for part in parts):
+            raise ValueError("parts must be nonempty ASCII digits")
+        return cls(tuple(scalar_from_str(part) for part in parts))
 
     @property
     def size(self) -> int:
@@ -147,7 +152,7 @@ def invariant_dim(partitions: Sequence[Partition]) -> int:
     if any(p.size != d for p in partitions):
         raise ValueError("all partitions must have the same size")
     if d > MAX_PARTITION_SIZE:
-        raise ValueError(f"partitions of size at most {MAX_PARTITION_SIZE} only, got {d}")
+        raise ValueError(f"partitions of size at most {MAX_PARTITION_SIZE} only, got {excerpt(d)}")
     total = 0
     for lam_parts in partitions_of(d):
         lam = Partition(lam_parts)
@@ -176,13 +181,14 @@ def decompose_symmetric_power(d: int, n: int) -> list[IsotypicSummand]:
     if d < 1 or n < 1:
         raise ValueError("d and n must be positive")
     if d > MAX_PARTITION_SIZE:
-        raise ValueError(f"partitions of size at most {MAX_PARTITION_SIZE} only, got d={d}")
+        raise ValueError(f"partitions of size at most {MAX_PARTITION_SIZE} only,"
+                         f" got d={excerpt(d)}")
     rows = two_row_partitions(d)
     if (n > MAX_FACTORS or len(rows) ** n * n * sum(1 for _ in partitions_of(d))
             > MAX_CHARACTER_PRODUCTS):
         raise ValueError(f"decomposing is bounded at n <= {MAX_FACTORS} factors and"
                          f" (d//2 + 1)^n * n * p(d) <= {MAX_CHARACTER_PRODUCTS} character"
-                         f" products, got d={d}, n={n}")
+                         f" products, got d={excerpt(d)}, n={excerpt(n)}")
     out = []
     for combo in product(rows, repeat=n):
         mult = invariant_dim(combo)

@@ -10,27 +10,27 @@ from .polynomials import GroupElement, Matrix2
 from .scalars import normalize
 
 
-def random_symmetric_matrix(n: int, rng: random.Random, low: int = -9, high: int = 9,
+def random_symmetric_matrix(n: int, rng: random.Random,
                             nonzero_offdiag: bool = False) -> SymmetricMatrix:
-    """Random integer symmetric matrix with entries in [low, high]."""
+    """Random integer symmetric matrix with entries in [-9, 9]."""
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
-        rows[i][i] = rng.randint(low, high)
+        rows[i][i] = rng.randint(-9, 9)
         for j in range(i + 1, n):
-            v = rng.randint(low, high)
+            v = rng.randint(-9, 9)
             while nonzero_offdiag and v == 0:
-                v = rng.randint(low, high)
+                v = rng.randint(-9, 9)
             rows[i][j] = rows[j][i] = v
     return SymmetricMatrix.from_rows(rows)
 
 
-def random_special_matrix2(rng: random.Random, bound: int = 4) -> Matrix2:
-    """Random rational 2x2 matrix of determinant exactly 1."""
+def random_special_matrix2(rng: random.Random) -> Matrix2:
+    """Random rational 2x2 matrix of determinant 1; a, b, c in [-4, 4]."""
     a = 0
     while a == 0:
-        a = rng.randint(-bound, bound)
-    b = rng.randint(-bound, bound)
-    c = rng.randint(-bound, bound)
+        a = rng.randint(-4, 4)
+    b = rng.randint(-4, 4)
+    c = rng.randint(-4, 4)
     d = normalize(Fraction(1 + b * c, a))
     return ((a, b), (c, d))
 

@@ -274,6 +274,20 @@ def test_reconstruct_numeric_beyond_float_range_exits_2(tmp_path, capsys):
     assert main(["reconstruct", "--in", str(zfile), "--out", str(out)]) == 0
 
 
+def test_reconstruct_numeric_non_square_beyond_float_range_exits_2(tmp_path, capsys):
+    from principal_minors import MinorVector
+
+    # a member: s_12 = 2 * 10^400 is no rational square, and its root no float
+    zfile, out = tmp_path / "z.json", tmp_path / "a.json"
+    write_minors(zfile, MinorVector.from_values(2, [1, 1, 1, 1 - 2 * 10**400]))
+    assert main(["reconstruct", "--in", str(zfile), "--out", str(out),
+                 "--mode", "numeric"]) == 2
+    assert capsys.readouterr().err == ("error: numeric mode: an entry does not fit"
+                                       " a complex float\n")
+    assert not out.exists()
+    assert main(["reconstruct", "--in", str(zfile), "--out", str(out)]) == 3
+
+
 def test_check_prefilter_dense_n9(tmp_path):
     import random
 
@@ -326,7 +340,39 @@ def test_rep_multiplicity(capsys):
 
 
 def test_rep_multiplicity_bad_input(capsys):
-    assert main(["rep", "multiplicity", "2,2;banana"]) == 2
+    # parts are ASCII digits only, as every number read from text
+    for text in ("2,2;banana", "1_0", "+2,2;2,2", "\u0662,\u0662;2,2", " 2 , 2 ;2,2"):
+        assert main(["rep", "multiplicity", text]) == 2
+        assert capsys.readouterr().err == (f"error: bad partition tuple {text!r}:"
+                                           " parts must be nonempty ASCII digits\n")
+    # a blank partition is skipped
+    assert main(["rep", "multiplicity", " ; "]) == 2
+    assert capsys.readouterr().err == "error: need at least one partition\n"
+    assert main(["rep", "multiplicity", ";2,2;;2,2;"]) == 0
+    assert capsys.readouterr().out == "1\n"
+
+
+def test_rejected_values_are_cut_in_error_lines(tmp_path, capsys):
+    from principal_minors.scalars import EXCERPT_CHARS
+
+    long = "9" * 4000
+    out = tmp_path / "out.json"
+    for argv in (["experiment", "sign-flip", "--n", "4", "--trials", "-" + long],
+                 ["hd-basis", "--n", long, "--out", str(out)],
+                 ["rep", "decompose", "--d", long, "--n", "2"],
+                 ["rep", "decompose", "--d", "2", "--n", long],
+                 ["rep", "multiplicity", long],
+                 ["rep", "multiplicity", "1" * 5000 + ",x"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        err = captured.err
+        assert err.startswith("error:") and err.count("\n") == 1
+        # one value cut to EXCERPT_CHARS characters and its length
+        assert " characters)" in err and len(err) < EXCERPT_CHARS + 160
+    # a short value is echoed whole, as before
+    assert main(["experiment", "sign-flip", "--n", "4", "--trials", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --trials must be at least 1, got -1\n"
 
 
 def test_rep_decompose(capsys):

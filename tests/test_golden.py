@@ -152,6 +152,18 @@ def dmd(coords, q) -> list:
     return out
 
 
+# D = diag(sqrt(q)) with q_i q_j a square on some edges and not on others,
+# negative on some: the forest paths of a sparse D.M.D member mix rational,
+# irrational and imaginary roots
+SPARSE_DMD_SCALES = (2, 8, 3, 27, 5, -5, Fraction(1, 2))
+
+
+def sparse_dmd(n: int, cycles: int) -> list:
+    """Minors of D.M.D for M on a spanning tree plus `cycles` edges."""
+    rows = tree_plus(n, cycles, random.Random(f"sparse-dmd/{n}/{cycles}"))
+    return dmd(laplace_minors(rows), SPARSE_DMD_SCALES[:n])
+
+
 @lru_cache(maxsize=None)
 def minor_vectors(n: int) -> dict[str, list]:
     """Members, D.M.D members, perturbed and z_[0..0] = 0 vectors."""
@@ -347,6 +359,16 @@ def cases() -> dict[str, tuple[list[str], object]]:
             add(f"reconstruct/exact/{name}/n={n}",
                 ["reconstruct", "--in", INPUT, "--out", "matrix.json"],
                 minors_doc(laplace_minors(rows)))
+    for n in (5, 6, 7):
+        for cycles in (2, 3):
+            document = minors_doc(sparse_dmd(n, cycles))
+            name = f"sparse-dmd/n={n}/cycles={cycles}"
+            add(f"check/reconstruct/{name}", ["check", "--in", INPUT, "--method", "reconstruct",
+                                              "--out", "report.json"], document)
+            for mode in RECONSTRUCTIONS:
+                add(f"reconstruct/{mode}/{name}",
+                    ["reconstruct", "--in", INPUT, "--out", "matrix.json", "--mode", mode],
+                    document)
     add("check/malformed/matrix-document", ["check", "--in", INPUT], matrix_doc([[1]]))
     add("reconstruct/unwritable-output", ["reconstruct", "--in", INPUT, "--out", "missing/m.json"],
         minors_doc([1, 2]))
@@ -364,6 +386,10 @@ def cases() -> dict[str, tuple[list[str], object]]:
     add("reconstruct/numeric/digits/scaled",
         ["reconstruct", "--in", INPUT, "--out", "matrix.json", "--mode", "numeric"],
         minors_doc([c * 10 ** 5000 for c in laplace_minors([[1, 2], [2, 3]])]))
+    # a member whose s_12 = 2 * 10^400 is no rational square and no float
+    add("reconstruct/numeric/digits/non-square-beyond-float",
+        ["reconstruct", "--in", INPUT, "--out", "matrix.json", "--mode", "numeric"],
+        minors_doc([1, 1, 1, 1 - 2 * 10 ** 400]))
     add("check/digits/20001", ["check", "--in", INPUT, "--method", "reconstruct"],
         {"kind": "minors", "schema_version": 1, "n": 1, "order": "lsb-factor-1",
          "coords": ["1/1", "1" + "0" * 20000]})
@@ -389,8 +415,22 @@ def cases() -> dict[str, tuple[list[str], object]]:
         "sizes-differ": "2;3",
         "increasing": "2,3",
         "empty": " ; ",
+        # parts are ASCII digits only
+        "underscore": "1_0",
+        "plus-sign": "+2,2;2,2",
+        "arabic-indic": "\u0662,\u0662;2,2",
+        "spaces": " 2 , 2 ;2,2",
+        # a long rejected value is cut to 64 characters and its length
+        "part-9^4000": "9" * 4000,
+        "part-1^5000,x": "1" * 5000 + ",x",
     }.items():
         add(f"rep/multiplicity/{name}", ["rep", "multiplicity", text])
+    long = "9" * 4000
+    add("rep/decompose/d=9^4000", ["rep", "decompose", "--d", long, "--n", "2"])
+    add("rep/decompose/n=9^4000", ["rep", "decompose", "--d", "2", "--n", long])
+    add("hd-basis/n=9^4000", ["hd-basis", "--n", long, "--out", "basis.json"])
+    add("experiment/sign-flip/trials=-9^4000",
+        ["experiment", "sign-flip", "--n", "4", "--trials", "-" + long])
     for d, n in ((4, 3), (2, 4), (3, 3), (24, 1), (25, 1), (1, 14), (1, 15), (2, 12), (2, 13),
                  (0, 3)):
         add(f"rep/decompose/d={d}/n={n}", ["rep", "decompose", "--d", str(d), "--n", str(n)])
@@ -488,6 +528,23 @@ def test_outputs_match_the_manifest():
     assert not problems, (f"{len(problems)} golden case(s) changed"
                           " (rewrite with `python tests/test_golden.py`):\n"
                           + "\n".join(problems))
+
+
+def test_numeric_matrix_is_exactly_symmetric_on_sparse_dmd_members():
+    # the forest paths mix rational, irrational and imaginary roots, and
+    # each off-forest entry is written once and copied to its mirror
+    import pytest
+
+    from principal_minors import MinorVector
+    from principal_minors.membership import NonSquareEntryError, reconstruct
+
+    for n in (5, 6, 7):
+        for cycles in (2, 3):
+            z = MinorVector.from_values(n, sparse_dmd(n, cycles))
+            with pytest.raises(NonSquareEntryError):
+                reconstruct(z, "exact")
+            entries = reconstruct(z, "numeric").entries
+            assert all(entries[i][j] == entries[j][i] for i in range(n) for j in range(i))
 
 
 def leaf_commands(parser: argparse.ArgumentParser, prefix: tuple[str, ...] = ()) -> set[str]:

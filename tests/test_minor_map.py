@@ -171,6 +171,16 @@ def test_kernel_determinant_counts_on_paths_and_complete_graphs(monkeypatch):
         assert len(calls) == 2 ** n - 1 - n - n * (n - 1) // 2
 
 
+def test_kernel_factors_two_cliques_without_a_cross_determinant(monkeypatch):
+    calls = count_determinants(monkeypatch)
+    rows = block_diagonal([4, 4], random.Random(48))
+    assert list(all_principal_minors(rows)) == det_per_subset(rows)
+    # the 3- and 4-subsets of each clique; a subset that meets both cliques
+    # in 3 or more vertices each has no leaf, and takes a determinant of
+    # its own (35 in all) unless the kernel multiplies over components
+    assert len(calls) == 2 * (4 + 1)
+
+
 def test_kernel_takes_determinants_only_without_a_leaf(monkeypatch):
     calls = count_determinants(monkeypatch)
     rng = random.Random(47)

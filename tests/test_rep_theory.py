@@ -41,6 +41,14 @@ def count_syt(shape):
     return total
 
 
+def test_partition_from_string_reads_ascii_digit_parts_only():
+    assert Partition.from_string("3,1") == Partition.of(3, 1)
+    assert Partition.from_string("007") == Partition.of(7)
+    for text in ("1_0", "+2,2", "\u0662,\u0662", " 2 , 2 ", "2,", "2,,2", "", "-1", "\u00b2"):
+        with pytest.raises(ValueError, match="parts must be nonempty ASCII digits"):
+            Partition.from_string(text)
+
+
 # -- characters --------------------------------------------------------
 
 def test_trivial_character_is_constant_one():
