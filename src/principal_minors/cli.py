@@ -57,6 +57,17 @@ def _write_document(path: str, obj: dict):
         raise DocumentError(f"cannot write {path}: {err}") from err
 
 
+def _int_arg(text: str) -> int:
+    """An integer option in the documents' grammar -?[0-9]+.  A rejected
+    value is cut by excerpt: argparse's own message would echo it whole."""
+    if "/" not in text:
+        try:
+            return scalar_from_str(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {excerpt(text)}")
+
+
 def _cmd_minors(args) -> int:
     matrix = documents.parse_matrix_document(_read_document(args.infile))
     t = scalar_from_str(args.t)
@@ -204,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_reconstruct)
 
     p = sub.add_parser("hd-basis", help="generate the degree-4 module basis")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
     p.add_argument("--out", required=True, help="basis document to write")
     p.set_defaults(func=_cmd_hd_basis)
 
@@ -216,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rep_multiplicity)
 
     p = rep_sub.add_parser("decompose", help="decompose a symmetric power into summands")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--d", type=_int_arg, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
     p.set_defaults(func=_cmd_rep_decompose)
 
     p = rep_sub.add_parser("lower-to-lowest", help="apply lowering operators maximally")
@@ -229,9 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     exp_sub = exp.add_subparsers(dest="experiment_command", required=True)
 
     p = exp_sub.add_parser("sign-flip", help="off-diagonal sign-flip agreement profile")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--n", type=_int_arg, required=True)
+    p.add_argument("--seed", type=_int_arg, default=0)
+    p.add_argument("--trials", type=_int_arg, default=1)
     p.add_argument("--out", help="report document to write (suffixed per trial)")
     p.set_defaults(func=_cmd_experiment_sign_flip)
 

@@ -70,6 +70,12 @@ def _str_in(value: Any, what: str) -> str:
     return value
 
 
+def _ints_in(value: Any) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise DocumentError(f"certificate integers must be a list, got {excerpt(value)}")
+    return tuple(_int_in(v, "certificate integer", 0) for v in value)
+
+
 def _scalar_in(value: Any) -> Scalar:
     if not isinstance(value, (int, str)):
         raise DocumentError(f"expected a rational string, got {excerpt(value)}")
@@ -288,6 +294,7 @@ _CERTIFICATE_NAMES = {cls: name for name, cls in CERTIFICATES.items()}
 # at call time, so a caller that rebinds them sees every call.
 _FIELD_CODECS: dict[str, tuple[Callable, Callable]] = {
     "int": (int, lambda v: _int_in(v, "certificate integer", 0)),
+    "tuple[int, ...]": (list, _ints_in),
     "str": (str, lambda v: _str_in(v, "certificate string")),
     "Scalar": (scalar_str, _scalar_in),
     "SymmetricMatrix": (lambda m: matrix_document(m), lambda v: parse_matrix_document(v)),

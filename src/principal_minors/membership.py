@@ -12,15 +12,18 @@ Three methods:
               with z_[0..0] != 0 (after one chart move otherwise); each
               failure raises a ReconstructionError carrying the report's
               certificate.
-  prefilter   necessary condition: Cayley's 2x2x2 hyperdeterminant on
-              each of the C(n,3) * 2^(n-3) slices that fix every factor
-              outside a triple to 0 or 1, each slice checked once.
-              Sound for rejection only.
+  prefilter   one move of G = SL(2)^n x| S_n, u(s) = [[1, s_k], [0, 1]] on
+              every factor with s fixed per n, then C(n,3) hyperdeterminants,
+              one slice per triple (`_witness`).  Rejects only; misses a
+              non-member the module detects with probability at most
+              4(n-3)/N for shifts from N values.  Values have at most about
+              4(n-3)(bits+1) more bits than z's slice values.
 """
 
 from __future__ import annotations
 
 import cmath
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -94,6 +97,10 @@ class NoConsistentSigns:
 
 @dataclass(frozen=True)
 class PrefilterViolation:
+    """Cayley's hyperdeterminant is `value`, not 0, on the slice of u(s) . z
+    that puts every factor outside `triple` (1-based) at 0."""
+    triple: tuple[int, ...]
+    s: tuple[int, ...]
     value: Scalar
 
 
@@ -427,41 +434,37 @@ def reconstruct(z: MinorVector, mode: str = "exact") -> SymmetricMatrix:
         if non_square is not None:
             rows = _gauge_rows(diag, parent, fundamental, {
                 e: cmath.sqrt(s[e]) if root is None else root for e, root in roots.items()})
+            # b_ij^2 = s_ij off the forest too: a rational |b_ij| is written
+            # exactly, with the sign that the float has
+            for (i, j), *_ in fundamental:
+                root, unit = sqrt_exact(abs(s[i, j])), 1 if s[i, j] > 0 else 1j
+                if root is not None:
+                    sign = 1 if (rows[i][j] / unit).real > 0 else -1
+                    rows[i][j] = rows[j][i] = sign * unit * root
         return SymmetricMatrix(n, tuple(tuple(complex(v) for v in row) for row in rows))
     except OverflowError:
         raise ValueError("numeric mode: an entry does not fit a complex float") from None
 
 
-# -- slice prefilter ---------------------------------------------------
+# -- prefilter ---------------------------------------------------------
 
-def _slices(n: int, count: int, start: int = 0, base: int = 0, fixed: int = 0):
-    """(base, fixed) bitmasks of the slices that fix count more factors
-    from start up, yielded lazily in sorted order of their (factor, bit)
-    pairs: factor f ascending, then its bit, then the factors above f."""
-    if count == 0:
-        yield base, fixed
-        return
-    for factor in range(start, n - count + 1):
-        for bit in (0, 1):
-            yield from _slices(n, count - 1, factor + 1, base | bit << factor, fixed | 1 << factor)
-
-
-def _prefilter_violation(z: MinorVector) -> Optional[Scalar]:
-    """First nonzero 2x2x2 hyperdeterminant over the C(n,3) * 2^(n-3)
-    slices that fix every factor outside a triple to 0 or 1, visited in
-    sorted order of their fixed (factor, bit) pairs; the order decides
-    which violation becomes the certificate."""
+def _witness(z: MinorVector) -> Optional[PrefilterViolation]:
+    """The first triple T, in lex order, whose hyperdeterminant does not
+    vanish on the outside-0 slice of u(s) . z, s being 32-bit shifts from
+    random.Random(n).  SL(2)^n keeps Z_n, and that slice of phi(A, t) is
+    t^(n-3) phi(A_T, t), in Z_3.  The value is SL(2)-invariant in T's own
+    factors, so one u(s) serves every T; in s it has degree at most 4 in
+    each s_k, with the 0/1 slices of the factors outside T as corners."""
     n = z.n
-    if n < 3:
-        return None
+    rng = random.Random(n)
+    s = tuple(rng.getrandbits(32) for _ in range(n))
+    moved = act_point(GroupElement.from_matrices([((1, s_k), (0, 1)) for s_k in s]), z).coords
     hyperdet = cayley_hyperdet(3, (1, 2, 3))
-    for base, fixed in _slices(n, n - 3):
-        i, j, k = (factor for factor in range(n) if not fixed >> factor & 1)
-        coords = [z.coords[base | bk << k | bj << j | bi << i]
-                  for bk, bj, bi in product((0, 1), repeat=3)]
-        value = evaluate(hyperdet, coords)
+    for i, j, k in combinations(range(n), 3):
+        value = evaluate(hyperdet, [moved[bk << k | bj << j | bi << i]
+                                    for bk, bj, bi in product((0, 1), repeat=3)])
         if value != 0:
-            return value
+            return PrefilterViolation((i + 1, j + 1, k + 1), s, value)
     return None
 
 
@@ -496,13 +499,10 @@ def is_member(z: MinorVector, method: str = "basis") -> MembershipReport:
     if n <= 2 and method != "reconstruct":
         return MembershipReport(n, VERDICT_MEMBER, method)
     if method == "basis":
-        basis = hd_basis(n)
-        for index, entry in enumerate(basis.entries):
+        for index, entry in enumerate(hd_basis(n).entries):
             value = evaluate(entry.polynomial, z)
             if value != 0:
-                return MembershipReport(
-                    n, VERDICT_NON_MEMBER, method, BasisViolation(index, value)
-                )
+                return MembershipReport(n, VERDICT_NON_MEMBER, method, BasisViolation(index, value))
         return MembershipReport(n, VERDICT_MEMBER, method)
     if method == "reconstruct":
         moves = 0
@@ -519,10 +519,9 @@ def is_member(z: MinorVector, method: str = "basis") -> MembershipReport:
             return MembershipReport(n, verdict, method, err.certificate, moves)
         return MembershipReport(n, VERDICT_MEMBER, method, certificate, moves)
     # method == "prefilter"
-    violation = _prefilter_violation(z)
-    if violation is not None:
-        return MembershipReport(n, VERDICT_NON_MEMBER, method, PrefilterViolation(violation))
-    return MembershipReport(n, VERDICT_INDETERMINATE, method)
+    witness = _witness(z)
+    verdict = VERDICT_INDETERMINATE if witness is None else VERDICT_NON_MEMBER
+    return MembershipReport(n, verdict, method, witness)
 
 
 # -- sign-flip experiment ----------------------------------------------

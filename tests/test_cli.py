@@ -321,6 +321,38 @@ def test_hd_basis_subcommand(tmp_path, capsys):
     assert doc["digest"] == GOLDEN_N4_DIGEST
 
 
+# every integer option, with "{}" where its value goes
+INTEGER_OPTIONS = (["hd-basis", "--n", "{}", "--out", "b.json"],
+                   ["rep", "decompose", "--d", "{}", "--n", "2"],
+                   ["rep", "decompose", "--d", "2", "--n", "{}"],
+                   ["experiment", "sign-flip", "--n", "{}"],
+                   ["experiment", "sign-flip", "--n", "4", "--seed", "{}"],
+                   ["experiment", "sign-flip", "--n", "4", "--trials", "{}"])
+
+
+@pytest.mark.parametrize("text", ["x", "+5", "1_0", " 5", "5/1", "\u0665", "1" + "0" * 20000],
+                         ids=["x", "+5", "1_0", "space-5", "5/1", "arabic-indic-5", "digits-20001"])
+def test_integer_options_read_only_the_documents_grammar(tmp_path, monkeypatch, capsys, text):
+    monkeypatch.chdir(tmp_path)
+    shown = f"'{text}'" if len(text) < 60 else f"'{text[:63]}... ({len(text)} characters)"
+    for template in INTEGER_OPTIONS:
+        with pytest.raises(SystemExit) as err:
+            main([text if arg == "{}" else arg for arg in template])
+        assert err.value.code == 2
+        option = template[template.index("{}") - 1]
+        # argparse's own wording, with the value cut as the package cuts it
+        assert capsys.readouterr().err.endswith(
+            f" error: argument {option}: invalid int value: {shown}\n")
+    assert not list(tmp_path.iterdir())
+
+
+def test_integer_option_past_the_int_to_str_limit_is_read(capsys):
+    long = "9" * 5000
+    assert main(["hd-basis", "--n", long, "--out", "b.json"]) == 2
+    assert capsys.readouterr().err == ("error: the degree-4 module basis is built for n <= 6"
+                                       f" only, got n={long[:64]}... (5000 characters)\n")
+
+
 def test_basis_beyond_its_bound_exits_2(tmp_path, capsys):
     out = tmp_path / "out.json"
     infile = tmp_path / "z.json"

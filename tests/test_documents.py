@@ -227,6 +227,9 @@ def test_report_round_trip_every_certificate_shape():
     for report in reports:
         doc = loads(dumps(report_document(report)))
         assert parse_report_document(doc) == report
+    witness = report_document(reports[-1])["certificate"]
+    assert witness["triple"] == [1, 2, 3] and len(witness["s"]) == 4
+    assert witness["value"] == "5/1"
 
 
 def test_parse_report_rejects_experiment_documents():
@@ -404,7 +407,7 @@ CERTIFICATE_EXAMPLES = [
     MinorMismatch(7, 1, Fraction(5, 3)),
     SymmetrizableCertificate(((1, 2), (1, 1)), Fraction(1, 3)),
     NoConsistentSigns("cycle", 7, 1, -1),
-    PrefilterViolation(-4),
+    PrefilterViolation((1, 2, 4), (3, 0, 7, 1), -4),
 ]
 
 
@@ -418,3 +421,14 @@ def test_every_certificate_type_round_trips_through_the_table():
         assert list(payload) == ["type"] + [f.name for f in fields(certificate)]
         assert documents.CERTIFICATES[payload["type"]] is type(certificate)
         assert documents.parse_report_document(loads(dumps(doc))) == report
+
+
+def test_witness_fields_read_as_lists_of_nonnegative_integers():
+    report = MembershipReport(4, "non-member", "prefilter",
+                              PrefilterViolation((1, 2, 3), (5, 6, 7, 8), 2))
+    for name, bad in (("triple", "123"), ("s", {"5": 6}), ("s", [5, 6, True, 8]),
+                      ("triple", [1, -2, 3])):
+        doc = loads(dumps(report_document(report)))
+        doc["certificate"][name] = bad
+        with pytest.raises(DocumentError):
+            documents.parse_report_document(doc)

@@ -9,8 +9,9 @@ The manifest `tests/golden.json` keeps one SHA-256 per part of each
 case: its argv, its input file, its exit code, stdout, stderr and the
 files it wrote.
 
-Argv that argparse itself rejects stays out: its usage text wraps with
-COLUMNS and differs between Python versions.  `hd-basis --n 6` stays out
+Of argv that argparse itself rejects, only the last line of stderr, its
+error, is kept: the usage text above it wraps with COLUMNS and differs
+between Python versions.  `hd-basis --n 6` stays out
 too (rendering and digesting its document takes 8-10 s); `check
 --method basis` at n = 6 covers that bound and shares `hd_basis`'s cache
 with the rest of the suite, and tests/test_hyperdet.py pins that basis
@@ -191,7 +192,7 @@ CHECKS = {
     "basis": ("member", "dmd-member", "perturbed-top", "perturbed-triple", "zero-leading"),
     "reconstruct": ("member", "sparse-member", "dmd-member", "perturbed-top",
                     "perturbed-coordinate", "perturbed-triple", "zero-leading", "t=0"),
-    "prefilter": ("member", "perturbed-top", "perturbed-triple"),
+    "prefilter": ("member", "perturbed-top", "perturbed-triple", "zero-leading"),
 }
 RECONSTRUCTIONS = {
     "exact": ("member", "sparse-member", "dmd-member", "perturbed-top", "perturbed-triple",
@@ -333,6 +334,10 @@ def cases() -> dict[str, tuple[list[str], object]]:
         minors_doc(minor_vectors(7)["member"]))
     add("check/basis/no-report/n=4", ["check", "--in", INPUT],
         minors_doc(minor_vectors(4)["perturbed-top"]))
+    # every slice that fixes factor 4 to 0 or 1 has hyperdeterminant 0
+    add("check/prefilter/witness-only/n=4", ["check", "--in", INPUT, "--method", "prefilter",
+                                             "--out", "report.json"],
+        minors_doc([1, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 2]))
     add("check/reconstruct/chart-move/n=3", ["check", "--in", INPUT, "--method", "reconstruct",
                                              "--out", "report.json"],
         minors_doc([0, 1, 1, 0, 1, 0, 0, 0]))
@@ -369,6 +374,10 @@ def cases() -> dict[str, tuple[list[str], object]]:
                 add(f"reconstruct/{mode}/{name}",
                     ["reconstruct", "--in", INPUT, "--out", "matrix.json", "--mode", mode],
                     document)
+    # a_23^2 = 1 off a forest whose roots are sqrt(2): a_23 is written as 1
+    add("reconstruct/numeric/triangle",
+        ["reconstruct", "--in", INPUT, "--out", "matrix.json", "--mode", "numeric"],
+        minors_doc([1, 2, 2, 2, 3, 4, 5, 4]))
     add("check/malformed/matrix-document", ["check", "--in", INPUT], matrix_doc([[1]]))
     add("reconstruct/unwritable-output", ["reconstruct", "--in", INPUT, "--out", "missing/m.json"],
         minors_doc([1, 2]))
@@ -429,6 +438,9 @@ def cases() -> dict[str, tuple[list[str], object]]:
     add("rep/decompose/d=9^4000", ["rep", "decompose", "--d", long, "--n", "2"])
     add("rep/decompose/n=9^4000", ["rep", "decompose", "--d", "2", "--n", long])
     add("hd-basis/n=9^4000", ["hd-basis", "--n", long, "--out", "basis.json"])
+    # integer options take the documents' grammar -?[0-9]+, at every length
+    for name, text in {"+5": "+5", "1_0": "1_0", "9^5000": "9" * 5000}.items():
+        add(f"hd-basis/n={name}", ["hd-basis", "--n", text, "--out", "basis.json"])
     add("experiment/sign-flip/trials=-9^4000",
         ["experiment", "sign-flip", "--n", "4", "--trials", "-" + long])
     for d, n in ((4, 3), (2, 4), (3, 3), (24, 1), (25, 1), (1, 14), (1, 15), (2, 12), (2, 13),
@@ -484,7 +496,11 @@ def run_case(argv: list[str], document) -> dict:
                 Path(INPUT).write_text(text)
             out, err = io.StringIO(), io.StringIO()
             with redirect_stdout(out), redirect_stderr(err):
-                code = cli.main(list(argv))
+                try:
+                    code = cli.main(list(argv))
+                except SystemExit as stop:  # argparse's own rejection
+                    code = stop.code
+                    err = io.StringIO(err.getvalue().splitlines(keepends=True)[-1])
             written = {str(p): p.read_bytes() for p in sorted(Path(".").rglob("*"))
                        if p.is_file() and str(p) != INPUT}
         finally:

@@ -7,6 +7,7 @@ from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from principal_minors import (
     MinorVector,
@@ -215,9 +216,8 @@ def test_prefilter_rejects_bad_half():
     assert report.certificate.value == 5
 
 
-def test_prefilter_visits_slices_lazily():
-    # all C(9,3) * 2^6 = 5376 slice keys, built and sorted up front,
-    # peaked at about 2.2 MB; the lazy walk holds one slice at a time
+def test_prefilter_peak_memory_n9():
+    # the witness holds one moved copy of z, about 40 KB
     z = minor_vector(random_symmetric_matrix(9, random.Random(36)), 1)
     tracemalloc.start()
     try:
@@ -253,7 +253,22 @@ def reference_prefilter_violation(z: MinorVector):
     return None
 
 
-def test_prefilter_slices_match_recursive_reference():
+def check_prefilter_report(z: MinorVector, report) -> None:
+    """A witness is checked from z and the report alone: one act_point and
+    the n-factor hyperdeterminant of its triple, outside bits 0."""
+    if report.verdict == "indeterminate":
+        assert report.certificate is None
+        return
+    assert report.verdict == "non-member"
+    witness = report.certificate
+    u = GroupElement.from_matrices([((1, s_k), (0, 1)) for s_k in witness.s])
+    assert witness.value != 0
+    assert evaluate(cayley_hyperdet(z.n, witness.triple), act_point(u, z)) == witness.value
+
+
+def test_prefilter_rejects_whatever_the_slices_reject():
+    # the slices are corner coefficients of the witness polynomial, so the
+    # witness rejects every vector the recursive reference rejects
     rng = random.Random(44)
     bad = [1, 1, 1, 0, 1, 0, 0, 1]  # hyperdeterminant value 5
     for n in range(3, 8):
@@ -266,7 +281,6 @@ def test_prefilter_slices_match_recursive_reference():
             perturb(z, rng.randrange(1, full), rng.choice((1, -1, 2))),
             perturb(z, rng.randrange(1, full), rng.choice((1, -1, 2))),
             MinorVector.from_values(n, [rng.randint(-3, 3) for _ in range(1 << n)]),
-            # the first nonzero slice of a sparse vector depends on the visiting order
             *(MinorVector.from_values(n, [rng.choice((1, -1, 2)) if rng.random() < 0.3 else 0
                                           for _ in range(1 << n)])
               for _ in range(8)),
@@ -279,14 +293,48 @@ def test_prefilter_slices_match_recursive_reference():
         for probe in probes:
             if probe.is_zero():
                 continue
-            expected = reference_prefilter_violation(probe)
             report = is_member(probe, "prefilter")
-            if expected is None:
-                assert report.verdict == "indeterminate"
-                assert report.certificate is None
-            else:
+            if reference_prefilter_violation(probe) is not None:
                 assert report.verdict == "non-member"
-                assert report.certificate.value == expected
+            check_prefilter_report(probe, report)
+
+
+def test_prefilter_finds_what_the_slices_miss():
+    # every corner slice vanishes, the moved slice of (1,2,3) does not
+    z = MinorVector.from_values(4, [1, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 2])
+    assert reference_prefilter_violation(z) is None
+    report = is_member(z, "prefilter")
+    assert report.verdict == "non-member"
+    check_prefilter_report(z, report)
+
+
+@given(st.integers(3, 8).flatmap(lambda n: st.tuples(symmetric_rows_strategy(n),
+                                                     st.integers(0, (1 << n) - 1))))
+@settings(max_examples=40, deadline=None)
+def test_members_and_their_weyl_moves_get_no_witness(case):
+    rows, subset = case
+    n = len(rows)
+    z = minor_vector(SymmetricMatrix.from_rows(rows), 1)
+    weyl = GroupElement.from_matrices(
+        [((0, 1), (-1, 0)) if subset >> k & 1 else ((1, 0), (0, 1)) for k in range(n)])
+    for point in (z, act_point(weyl, z)):
+        report = is_member(point, "prefilter")
+        assert report.verdict == "indeterminate" and report.certificate is None
+
+
+def test_prefilter_witnesses_a_zero_leading_non_member():
+    # on three factors: the hyperdeterminant of x_100 = x_010 = x_001 =
+    # x_111 = 1 and 0 elsewhere is 4
+    z = MinorVector.from_values(3, [0, 1, 1, 0, 1, 0, 0, 1])
+    report = is_member(z, "prefilter")
+    assert report.certificate.value == 4
+    rng = random.Random(45)
+    for n in range(3, 9):
+        member = minor_vector(random_symmetric_matrix(n, rng), 1)
+        z = perturb(member, 0, -member[0])
+        report = is_member(z, "prefilter")
+        assert report.verdict == "non-member"
+        check_prefilter_report(z, report)
 
 
 def test_prefilter_base_case_is_single_hyperdet():
@@ -409,6 +457,14 @@ def test_reconstruct_numeric_complex_entries():
     minors = laplace_minors(b.entries)
     for got, want in zip(minors, z.coords):
         assert abs(got - complex(want)) < 1e-8
+
+
+def test_reconstruct_numeric_writes_a_rational_off_forest_entry_exactly():
+    # a_12^2 = 2 and a_13^2 = +-2 on the forest, a_23^2 = +-1 off it: dividing
+    # the cycle product by the two roots gave 0.9999999999999999(j)
+    for coords, entry in (([1, 2, 2, 2, 3, 4, 5, 4], 1), ([1, 2, 2, 2, -3, -4, -5, -4], 1j)):
+        b = reconstruct(MinorVector.from_values(3, coords), "numeric").entries
+        assert b[1][2] == b[2][1] == entry
 
 
 def test_reconstruct_numeric_round_trip():
