@@ -7,11 +7,11 @@ Three methods:
   reconstruct rebuild one candidate matrix, square-root free: the
               diagonal and each a_ij^2 from the |I| <= 2 coordinates,
               the product of the a_e around each cycle of a minimum
-              cycle basis from that cycle's coordinate; check every
-              |I| = 3 coordinate, then all 2^n.  Decides every vector
-              with z_[0..0] != 0 (after one chart move otherwise); each
-              failure raises a ReconstructionError carrying the report's
-              certificate.
+              cycle basis from four coordinates by one Laplace expansion;
+              check every |I| = 3 coordinate, then all 2^n.  Decides
+              every vector with z_[0..0] != 0 (after one chart move, a
+              signed permutation, otherwise); each failure raises a
+              ReconstructionError carrying the report's certificate.
   prefilter   one move of G = SL(2)^n x| S_n, u(s) = [[1, s_k], [0, 1]] on
               every factor with s fixed per n, then C(n,3) hyperdeterminants,
               one slice per triple (`_witness`).  Rejects only; misses a
@@ -85,10 +85,13 @@ class SymmetrizableCertificate:
 
 @dataclass(frozen=True)
 class NoConsistentSigns:
-    """check "cycle": on the chordless cycle with vertex set `encoding`,
-    the cycle product read from z squares to `actual`, not to the product
-    `expected` of its squared entries.  check "triple": the candidate's
-    minor at `encoding` is `actual`, not z's `expected`."""
+    """check "cycle": on the chordless cycle C with vertex set `encoding`,
+    the cycle product pi_C squares to `actual`, not to the product
+    `expected` of its s_e.  With w = z / z_[0..0], s_ij = w_i w_j - w_ij
+    and l the lowest vertex of C, p and q its neighbours on C: 2 pi_C =
+    (-1)^(m+1) (w_C - w_l w_(C-l) + s_lp w_(C-l-p) + s_lq w_(C-l-q)).
+    check "triple": the candidate's minor at `encoding` is `actual`, not
+    z's `expected`."""
     check: str
     encoding: int
     expected: Scalar
@@ -218,14 +221,14 @@ def _solve_gauge(z: MinorVector):
     exactly when it is the top edge of some cycle, so the edges off it
     are the keys of the top-bit echelon of the cycle space.
 
-    For a chordless cycle C of length m, det(A_C) depends on the a_e only
-    through the s_e and the cycle product pi_C, with slope 2(-1)^(m+1):
-    the two cyclic permutations.  So pi_C is read off w_C, and a member
-    has pi_C^2 = prod_C s_e.  The cycles of a minimum cycle basis are
-    chordless (Horton: candidates v -> x, (x, y), y -> v along the BFS
-    tree of each vertex v, shortest first, kept when independent over
-    GF(2)), and pi(X xor Y) = pi(X) pi(Y) / prod_(X and Y) s_e carries
-    the products to every fundamental cycle of the forest.
+    For a chordless cycle C, det(A_C) along one row is 2(-1)^(m+1) pi_C
+    plus minors of induced paths, coordinates of z, so pi_C is read off
+    w_C and three path coordinates; a member has pi_C^2 = prod_C s_e.
+    The cycles of a minimum cycle basis are chordless (Horton: candidates
+    v -> x, (x, y), y -> v along the BFS tree of each vertex v, shortest
+    first, kept when independent over GF(2)), and pi(X xor Y) = pi(X)
+    pi(Y) / prod_(X and Y) s_e carries the products to every fundamental
+    cycle of the forest.
     """
     n = z.n
     diag = [_ratio(z, 1 << i) for i in range(n)]
@@ -324,22 +327,14 @@ def _solve_gauge(z: MinorVector):
 
 
 def _cycle_product(cycle: list[int], diag: list, s: dict, z: MinorVector) -> Scalar:
-    """pi_C read off w_C for a chordless cycle C.  The matrix B0 with
-    b_(c_k, c_(k+1)) = 1 and b_(c_(k+1), c_k) = s_e around C has the same
-    terms as A_C except the two cycle terms, 1 + prod s_e in place of
-    2 pi_C, each with sign (-1)^(m+1)."""
-    m = len(cycle)
-    rows = [[0] * m for _ in range(m)]
-    squares = 1
-    for k, v in enumerate(cycle):
-        nxt = (k + 1) % m
-        s_e = s[_edge(v, cycle[nxt])]
-        rows[k][k] = diag[v]
-        rows[k][nxt], rows[nxt][k] = 1, s_e
-        squares *= s_e
-    sign = 1 if m % 2 else -1
-    value = sign * (_ratio(z, sum(1 << v for v in cycle)) - det_exact(rows)) + 1 + squares
-    return normalize(Fraction(value) / 2)
+    """pi_C for a chordless cycle C from four coordinates: det(A_C) expanded
+    along the row of its lowest vertex, as NoConsistentSigns states."""
+    k = cycle.index(min(cycle))
+    l, p, q = cycle[k], cycle[k - 1], cycle[(k + 1) % len(cycle)]
+    path, coords = sum(1 << v for v in cycle) ^ (1 << l), z.coords
+    value = (coords[path | (1 << l)] - diag[l] * coords[path]
+             + s[_edge(l, p)] * coords[path ^ (1 << p)] + s[_edge(l, q)] * coords[path ^ (1 << q)])
+    return normalize(Fraction(value if len(cycle) % 2 else -value) / (2 * coords[0]))
 
 
 def _gauge_rows(diag: list, parent: list[int], fundamental: list,
@@ -486,8 +481,9 @@ def is_member(z: MinorVector, method: str = "basis") -> MembershipReport:
     moved into the open chart by J_I: the Weyl element J = [[0, 1],
     [-1, 0]] of SL(2) on every factor k with i_k = 1, where I is the
     first nonzero coordinate of z in encoding order, and the identity
-    elsewhere.  Then (J_I . z)_[0..0] = z_I.  Z_n is SL(2)^n-invariant,
-    so the verdict is unchanged; the certificate certifies J_I . z and
+    elsewhere: the signed permutation (J_I . z)_E = (-1)^|E & I|
+    z_(E xor I), so (J_I . z)_[0..0] = z_I.  Z_n is SL(2)^n-invariant, so
+    the verdict is unchanged; the certificate certifies J_I . z and
     chart_moves is 1.  J_I depends on z alone, so the certificate can be
     checked from z and the report.
     """
@@ -508,9 +504,8 @@ def is_member(z: MinorVector, method: str = "basis") -> MembershipReport:
         moves = 0
         if z[0] == 0:
             first = next(enc for enc, c in enumerate(z.coords) if c != 0)
-            weyl = GroupElement.from_matrices(
-                [((0, 1), (-1, 0)) if (first >> k) & 1 else ((1, 0), (0, 1)) for k in range(n)])
-            z = act_point(weyl, z)
+            z = MinorVector(n, tuple(-z[enc ^ first] if (enc & first).bit_count() & 1
+                                     else z[enc ^ first] for enc in range(1 << n)))
             moves = 1
         try:
             certificate = MatrixCertificate(reconstruct(z, "exact"), z[0])
@@ -527,9 +522,11 @@ def is_member(z: MinorVector, method: str = "basis") -> MembershipReport:
 # -- sign-flip experiment ----------------------------------------------
 
 # sign_flip_profile evaluates 2^C(n-1,2) patterns of 2^n minors each:
-# 0.6 s at n = 6 on a 2-core x86 VM with Python 3.11, and about 64 times
-# that at n = 7.
+# 0.3 s at n = 6 on a 2-core x86 VM with Python 3.11, and about 64 times
+# that at n = 7.  `experiment sign-flip` evaluates trials times as many,
+# at most MAX_SIGN_FLIP_PATTERNS: 8 trials at n = 6 take 2.4 s there.
 MAX_SIGN_FLIP_FACTORS = 6
+MAX_SIGN_FLIP_PATTERNS = 1 << 13
 
 
 def check_sign_flip_size(n: int) -> None:

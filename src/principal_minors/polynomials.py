@@ -241,17 +241,15 @@ def evaluate(poly: TensorPolynomial, point: "MinorVector | Sequence[Scalar]") ->
         values = tuple(point)
         if len(values) != (1 << poly.n):
             raise ValueError(f"expected {1 << poly.n} coordinates")
+    # A field holds enc + 1, so it indexes the values shifted by one.
+    values = (0,) + values
     total: Scalar = 0
     # Keys are read field by field in place, not unpacked into lists:
     # this loop is nearly all the cost of a basis membership check.
     for key, coeff in poly._terms.items():
         term = coeff
         while key:
-            value = values[(key & FIELD_MASK) - 1]
-            if value == 0:
-                term = 0
-                break
-            term = term * value
+            term = term * values[key & FIELD_MASK]
             key >>= FIELD_BITS
         total = total + term
     return normalize(total)

@@ -525,6 +525,10 @@ def test_experiment_sign_flip_checks_its_bound_before_sampling(monkeypatch, caps
     for n in (0, -3):
         assert main(["experiment", "sign-flip", "--n", str(n)]) == 2
         assert capsys.readouterr().err == f"error: size must be at least 1, got {n}\n"
+    # 9 trials of 2^10 gauge-class patterns at n = 6
+    assert main(["experiment", "sign-flip", "--n", "6", "--trials", "9"]) == 2
+    assert capsys.readouterr().err == ("error: --trials too large: trials * 2^((n-1)(n-2)/2)"
+                                       " patterns beyond 8192, got 9\n")
 
 
 def test_cli_entry_point_runs(tmp_path):

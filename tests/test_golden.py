@@ -205,6 +205,8 @@ CYCLES = {
     "4-cycle": (4, [(0, 1), (1, 2), (2, 3), (0, 3)], 0b1111),
     "5-cycle": (5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], 0b11111),
     "4-cycle-with-tail": (6, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (4, 5)], 0b1111),
+    # the path left by the 5-cycle's lowest vertex, whose row the cycle is read along
+    "5-cycle-path": (5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], 0b11110),
 }
 
 # rationals that fractions.Fraction reads and the documents' grammar does not
@@ -472,6 +474,10 @@ def cases() -> dict[str, tuple[list[str], object]]:
         ["experiment", "sign-flip", "--n", "4", "--trials", "2", "--out", "flip.json"])
     add("experiment/sign-flip/n=5/no-output", ["experiment", "sign-flip", "--n", "5"])
     add("experiment/sign-flip/trials=0", ["experiment", "sign-flip", "--n", "4", "--trials", "0"])
+    # trials * 2^((n-1)(n-2)/2) patterns at most MAX_SIGN_FLIP_PATTERNS = 8192
+    for name, trials in {"4096": "4096", "4097": "4097", "9^4000": "9" * 4000}.items():
+        add(f"experiment/sign-flip/n=3/trials={name}",
+            ["experiment", "sign-flip", "--n", "3", "--trials", trials])
     for n in (0, -3):
         add(f"experiment/sign-flip/n={n}", ["experiment", "sign-flip", "--n", str(n)])
     return cases

@@ -13,6 +13,7 @@ from principal_minors import (
     MinorVector,
     SymmetricMatrix,
     is_member,
+    membership,
     minor_vector,
     reconstruct,
     sign_flip_profile,
@@ -117,12 +118,13 @@ def test_unknown_method_rejected():
 
 
 def weyl_moved(z: MinorVector) -> MinorVector:
-    """J_I . z for J = [[0, 1], [-1, 0]] on every factor of the first
-    nonzero coordinate I: J sends (x0, x1) to (x1, -x0) in one factor,
-    so (J_I . z)_E = (-1)^|E & I| z_(E xor I)."""
+    """J_I . z through the group action, for J = [[0, 1], [-1, 0]] on
+    every factor of the first nonzero coordinate I and the identity on
+    the others; is_member writes it as a signed permutation."""
     first = next(enc for enc, c in enumerate(z.coords) if c != 0)
-    return MinorVector.from_values(z.n, [(-1) ** bin(enc & first).count("1") * z[enc ^ first]
-                                         for enc in range(1 << z.n)])
+    weyl = GroupElement.from_matrices(
+        [((0, 1), (-1, 0)) if first >> k & 1 else ((1, 0), (0, 1)) for k in range(z.n)])
+    return act_point(weyl, z)
 
 
 def test_chart_moves_reach_open_chart():
@@ -616,9 +618,10 @@ def assert_symmetrizable_certificate(z: MinorVector, rows, scale):
 
 
 def assert_cycle_certificate(z: MinorVector, cert: NoConsistentSigns):
-    """Recompute a "cycle" certificate from z: its vertex set induces one
-    cycle, expected is the product of its s_e and actual is the square of
-    the cycle product read off z's coordinate at that vertex set."""
+    """Recompute a "cycle" certificate from z and its vertex set alone: the
+    set induces one cycle C, expected is the product of its s_e, and
+    actual is pi_C^2, pi_C read by expanding det(A_C) along the row of C's
+    lowest vertex l, with neighbours p and q on C (four coordinates)."""
     assert cert.check == "cycle"
     w = normalized(z)
     vertices = [v for v in range(z.n) if cert.encoding >> v & 1]
@@ -628,18 +631,36 @@ def assert_cycle_certificate(z: MinorVector, cert: NoConsistentSigns):
     while len(cycle) < len(vertices):
         cycle.append(next(j for e in edges for i, j in (e, e[::-1])
                           if i == cycle[-1] and j not in cycle))
+    assert (cycle[0], cycle[-1]) in edges  # the walk closes: one chordless cycle
+    m, l = len(vertices), vertices[0]
+    p, q = [j for i, j in edges if i == l]
+    squares = 1
+    for i, j in edges:
+        squares *= s_value(w, i, j)
+    path = cert.encoding ^ 1 << l
+    pi = (-1) ** (m + 1) * (w[cert.encoding] - w[1 << l] * w[path] + s_value(w, l, p)
+                            * w[path ^ 1 << p] + s_value(w, l, q) * w[path ^ 1 << q]) / 2
+    assert (cert.expected, cert.actual) == (squares, pi * pi)
+    assert cert.expected != cert.actual
+
+
+def b0_cycle_product(z: MinorVector, cycle: list[int]):
+    """pi_C through one determinant, the reference for the four-term read:
+    the matrix B0 with b_(c_k, c_(k+1)) = 1 and b_(c_(k+1), c_k) = s_e
+    around C has the terms of A_C with s_e for a_e^2, except the two
+    cycle terms, 1 + prod s_e in place of 2 pi_C, each with sign
+    (-1)^(m+1)."""
+    w = normalized(z)
     m = len(cycle)
     b0 = [[0] * m for _ in range(m)]
     squares = 1
     for k, v in enumerate(cycle):
         nxt = (k + 1) % m
         s = s_value(w, v, cycle[nxt])
-        assert s != 0
         b0[k][k], b0[k][nxt], b0[nxt][k] = w[1 << v], 1, s
         squares *= s
-    pi = ((-1) ** (m + 1) * (w[cert.encoding] - laplace_det(b0)) + 1 + squares) / 2
-    assert (cert.expected, cert.actual) == (squares, pi * pi)
-    assert cert.expected != cert.actual
+    enc = sum(1 << v for v in cycle)
+    return ((-1) ** (m + 1) * (w[enc] - laplace_det(b0)) + 1 + squares) / 2
 
 
 def matrix_on_graph(n: int, edges, rng) -> SymmetricMatrix:
@@ -767,6 +788,70 @@ def test_gauge_solve_on_sparse_cycles_cut_vertices_and_components():
             assert_cycle_certificate(probe, report.certificate)
             # the sign search never looks at a cycle beyond the triples
             assert reference_reconstruct(probe)[0] == "minor-mismatch"
+
+
+def with_denominators(a: SymmetricMatrix, rng) -> SymmetricMatrix:
+    """a with each entry over a random denominator, kept symmetric."""
+    rows = a.rows()
+    for i in range(a.n):
+        for j in range(i, a.n):
+            rows[i][j] = rows[j][i] = Fraction(rows[i][j], rng.randint(1, 4))
+    return SymmetricMatrix.from_rows(rows)
+
+
+def test_four_term_cycle_read_matches_the_b0_determinant(monkeypatch):
+    # on a member the path minors are the continuants that B0 builds from
+    # the |I| <= 2 coordinates; on a triangle they are those coordinates,
+    # so the reads agree on its non-members too
+    reads = []
+    cycle_product = membership._cycle_product
+
+    def recording(cycle, diag, s, z):
+        value = cycle_product(cycle, diag, s, z)
+        reads.append((list(cycle), z, value))
+        return value
+
+    monkeypatch.setattr(membership, "_cycle_product", recording)
+    rng = random.Random(50)
+    members = [random_symmetric_matrix(n, rng, nonzero_offdiag=True) for n in range(3, 7)]
+    for m in range(3, 10):
+        order = rng.sample(range(m), m)  # the lowest vertex anywhere on the cycle
+        members.append(matrix_on_graph(
+            m, sorted(tuple(sorted(e)) for e in zip(order, order[1:] + order[:1])), rng))
+    members += [sparse_matrix(n, 3, rng) for n in range(4, 10)]
+    members += [matrix_on_graph(n, edges, rng) for n, edges in GRAPH_FAMILIES]
+    lengths = set()
+    for a in members:
+        for b in (a, with_denominators(a, rng)):
+            z = minor_vector(b, 1)
+            q = [rng.choice((2, 3, -1, 5, Fraction(1, 2))) for _ in range(b.n)]
+            for point, member in ((z, True), (dmd_minors(b, q), True),
+                                  (perturb(z, (1 << b.n) - 1), False)):
+                reads.clear()
+                verdict = is_member(point, "reconstruct").verdict
+                assert verdict == "member" or not member
+                for cycle, read_from, value in reads:
+                    lengths.add(len(cycle))
+                    if member or len(cycle) == 3:
+                        assert value == b0_cycle_product(read_from, cycle)
+    assert lengths == set(range(3, 10))
+
+
+def test_cycle_read_expands_along_the_lowest_vertex():
+    # w_(C-l) moved, l = vertex 1 the lowest: a row at another vertex never
+    # reads it, so every rotation and direction of the cycle must read
+    # along l, as the certificate's check does from the vertex set alone
+    a = matrix_on_graph(5, GRAPH_FAMILIES[1][1], random.Random(51))
+    z = perturb(minor_vector(a, 1), 0b11110)
+    w = normalized(z)
+    diag = [w[1 << i] for i in range(5)]
+    s = {(i, j): s_value(w, i, j) for i, j in combinations(range(5), 2) if s_value(w, i, j) != 0}
+    report = is_member(z, "reconstruct")
+    assert_cycle_certificate(z, report.certificate)
+    for start in range(5):
+        for cycle in ([0, 1, 2, 3, 4], [0, 4, 3, 2, 1]):
+            cycle = cycle[start:] + cycle[:start]
+            assert membership._cycle_product(cycle, diag, s, z) ** 2 == report.certificate.actual
 
 
 def dmd_minors(m: SymmetricMatrix, q) -> MinorVector:
