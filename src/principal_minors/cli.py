@@ -23,7 +23,6 @@ from .membership import (
     EXIT_MEMBER,
     EXIT_NON_MEMBER,
     EXIT_USAGE,
-    MAX_SIGN_FLIP_PATTERNS,
     NonMemberError,
     NonSquareEntryError,
     check_sign_flip_size,
@@ -167,10 +166,7 @@ def _cmd_rep_lower(args) -> int:
 def _cmd_experiment_sign_flip(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {excerpt(args.trials)}")
-    check_sign_flip_size(args.n)  # before sampling an n x n matrix
-    if args.trials << (args.n - 1) * (args.n - 2) // 2 > MAX_SIGN_FLIP_PATTERNS:
-        raise ValueError(f"--trials too large: trials * 2^((n-1)(n-2)/2) patterns beyond"
-                         f" {MAX_SIGN_FLIP_PATTERNS}, got {excerpt(args.trials)}")
+    check_sign_flip_size(args.n, args.trials)  # before sampling an n x n matrix
     rng = random.Random(args.seed)
     full = 1 << args.n
     for trial in range(args.trials):

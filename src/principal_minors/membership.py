@@ -5,13 +5,13 @@ Three methods:
               zeros certifies membership over the complex numbers, any
               nonzero value is a non-membership certificate.
   reconstruct rebuild one candidate matrix, square-root free: the
-              diagonal and each a_ij^2 from the |I| <= 2 coordinates,
-              the product of the a_e around each cycle of a minimum
-              cycle basis from four coordinates by one Laplace expansion;
-              check every |I| = 3 coordinate, then all 2^n.  Decides
-              every vector with z_[0..0] != 0 (after one chart move, a
-              signed permutation, otherwise); each failure raises a
-              ReconstructionError carrying the report's certificate.
+              diagonal and each a_ij^2 from the |I| <= 2 coordinates, and
+              per edge off the greedy forest the product of the a_e around
+              one chordless cycle from four coordinates; check every
+              |I| = 3 coordinate, then all 2^n.  Decides every vector with
+              z_[0..0] != 0 (after one chart move, a signed permutation,
+              otherwise); each failure raises a ReconstructionError
+              carrying the report's certificate.
   prefilter   one move of G = SL(2)^n x| S_n, u(s) = [[1, s_k], [0, 1]] on
               every factor with s fixed per n, then C(n,3) hyperdeterminants,
               one slice per triple (`_witness`).  Rejects only; misses a
@@ -27,6 +27,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd, lcm, prod
 from typing import Optional
 
 from .hyperdet import cayley_hyperdet, hd_basis
@@ -170,38 +171,8 @@ class NonMemberError(ReconstructionError):
                          certificate)
 
 
-def _bfs_tree(adjacency: list[list[int]], sources) -> tuple[list[int], list[int]]:
-    """Parent and depth of each vertex in breadth-first trees grown from
-    sources in turn; a root is its own parent, an unreached vertex has
-    parent -1."""
-    parent, depth = [-1] * len(adjacency), [0] * len(adjacency)
-    for source in sources:
-        if parent[source] >= 0:
-            continue
-        parent[source] = source
-        queue = [source]
-        for x in queue:
-            for y in adjacency[x]:
-                if parent[y] < 0:
-                    parent[y], depth[y] = x, depth[x] + 1
-                    queue.append(y)
-    return parent, depth
-
-
-def _climb(parent: list[int], x: int) -> list[int]:
-    path = [x]
-    while parent[x] != x:
-        x = parent[x]
-        path.append(x)
-    return path
-
-
 def _edge(x: int, y: int) -> tuple[int, int]:
     return (x, y) if x < y else (y, x)
-
-
-def _path_edges(path: list[int]) -> list[tuple[int, int]]:
-    return [_edge(x, y) for x, y in zip(path, path[1:])]
 
 
 def _ratio(z: MinorVector, enc: int) -> Scalar:
@@ -210,120 +181,64 @@ def _ratio(z: MinorVector, enc: int) -> Scalar:
     return normalize(Fraction(z.coords[enc]) / z.coords[0])
 
 
-def _solve_gauge(z: MinorVector):
-    """Cycle products of every symmetric matrix with minors w = z / z_[0..0],
-    which all agree up to the D A D gauge (Engel-Schneider).  Returns the diagonal,
-    each s_ij = a_ii a_jj - w_ij = a_ij^2 on the edges (s_ij != 0), the
-    spanning forest and its `parent` rooting, and for each edge (i, j)
-    off the forest its forest paths i -> lca and j -> lca with the
-    product of the a_e around the cycle they close.  The forest is the
-    greedy one in edge order: an edge closes a cycle with earlier edges
-    exactly when it is the top edge of some cycle, so the edges off it
-    are the keys of the top-bit echelon of the cycle space.
-
-    For a chordless cycle C, det(A_C) along one row is 2(-1)^(m+1) pi_C
-    plus minors of induced paths, coordinates of z, so pi_C is read off
-    w_C and three path coordinates; a member has pi_C^2 = prod_C s_e.
-    The cycles of a minimum cycle basis are chordless (Horton: candidates
-    v -> x, (x, y), y -> v along the BFS tree of each vertex v, shortest
-    first, kept when independent over GF(2)), and pi(X xor Y) = pi(X)
-    pi(Y) / prod_(X and Y) s_e carries the products to every fundamental
-    cycle of the forest.
-    """
+def _place(z: MinorVector):
+    """What every symmetric matrix with minors w = z / z_[0..0] has: the
+    diagonal, each s_ij = a_ii a_jj - w_ij = a_ij^2 on the edges (s_ij !=
+    0), and one step (i, k, path, pi) per edge, the vertices k = 0..n-1
+    placed in turn.  The first neighbour i < k in each component of the
+    graph below k takes a gauge step (path None): the forest is the
+    greedy one in (k, i) order.  Every other one takes a cycle step: a
+    breadth-first search finds a shortest path i -> ... -> j to a placed
+    neighbour j of k through vertices below k and not next to it, so C =
+    k, i, ..., j is chordless (a chord would touch k or shorten the path)
+    and pi, the product of the a_e around C, is read from four
+    coordinates; a member has pi^2 = prod_C s_e.  Each of the |E| - n + c
+    cycle steps adds one edge, so they span the cycle space, and their
+    products fix every such matrix up to the D A D gauge (Engel-Schneider)."""
     n = z.n
     diag = [_ratio(z, 1 << i) for i in range(n)]
     s = {}
-    for i, j in combinations(range(n), 2):
-        value = diag[i] * diag[j] - _ratio(z, (1 << i) | (1 << j))
+    adjacency = [[] for _ in range(n)]  # at step k: each vertex's neighbours below k
+    for i, k in combinations(range(n), 2):
+        value = diag[i] * diag[k] - _ratio(z, (1 << i) | (1 << k))
         if value != 0:
-            s[(i, j)] = value
-    edges = list(s)
-    bit = {e: 1 << k for k, e in enumerate(edges)}
-    s_of_bit = list(s.values())
-
-    def mask_of(path_edges):
-        return sum(bit[e] for e in path_edges)
-
-    def merge(row, other):
-        # pi(X xor Y) = pi(X) pi(Y) / prod of s_e over the shared edges
-        (x, pi_x), (y, pi_y) = row, other
-        shared, common = 1, x & y
-        while common:
-            low = common & -common
-            shared *= s_of_bit[low.bit_length() - 1]
-            common ^= low
-        return x ^ y, normalize(Fraction(pi_x * pi_y) / shared)
-
-    # GF(2) echelon rows of the cycle space, keyed by their top edge bit,
-    # each with the product of a_e over its edges.
-    echelon: dict[int, tuple[int, Scalar]] = {}
-
-    def reduce(mask):
-        used = []
-        while mask and (mask.bit_length() - 1) in echelon:
-            row = echelon[mask.bit_length() - 1]
-            mask ^= row[0]
-            used.append(row)
-        return mask, used
-
-    adjacency = [[] for _ in range(n)]
-    for i, j in edges:
-        adjacency[i].append(j)
-        adjacency[j].append(i)
-    trees = [_bfs_tree(adjacency, [v]) for v in range(n)]
-    # cycle-space rank |E| - n + c: v is the lowest vertex of its component
-    # exactly when its tree reaches no lower vertex
-    rank = len(edges) - n + sum(max(parent[:v], default=-1) < 0
-                                for v, (parent, _) in enumerate(trees))
-    candidates = sorted(
-        (depth[x] + depth[y] + 1, v, x, y)
-        for v, (parent, depth) in enumerate(trees)
-        for x, y in edges
-        if parent[x] >= 0 and parent[x] != y and parent[y] != x
-    )
-    for _, v, x, y in candidates:
-        if len(echelon) == rank:
-            break
-        up_x, up_y = _climb(trees[v][0], x), _climb(trees[v][0], y)
-        if set(up_x).intersection(up_y) != {v}:
-            continue
-        cycle = up_x[::-1] + up_y[:-1]
-        cycle_edges = _path_edges(cycle + [v])
-        cycle_mask = mask_of(cycle_edges)
-        mask, used = reduce(cycle_mask)
-        if not mask:
-            continue
-        pi = _cycle_product(cycle, diag, s, z)
-        squares = 1
-        for e in cycle_edges:
-            squares *= s[e]
-        if pi * pi != squares:
-            raise NonMemberError(
-                NoConsistentSigns("cycle", sum(1 << c for c in cycle), squares, pi * pi))
-        row = (cycle_mask, pi)
-        for other in used:
-            row = merge(row, other)
-        echelon[mask.bit_length() - 1] = row
-
-    forest = [e for k, e in enumerate(edges) if k not in echelon]
-    off_forest = [edges[k] for k in sorted(echelon)]
-    forest_adjacency = [[] for _ in range(n)]
-    for i, j in forest:
-        forest_adjacency[i].append(j)
-        forest_adjacency[j].append(i)
-    parent = _bfs_tree(forest_adjacency, range(n))[0]
-    fundamental = []
-    for i, j in off_forest:
-        up_i, up_j = _climb(parent, i), _climb(parent, j)
-        on_j = set(up_j)
-        lca = next(x for x in up_i if x in on_j)
-        path_i = _path_edges(up_i[:up_i.index(lca) + 1])
-        path_j = _path_edges(up_j[:up_j.index(lca) + 1])
-        row = (0, 1)
-        for other in reduce(bit[(i, j)] | mask_of(path_i) | mask_of(path_j))[1]:
-            row = merge(row, other)
-        fundamental.append(((i, j), path_i, path_j, row[1]))
-    return diag, s, parent, forest, fundamental
+            s[i, k] = value
+            adjacency[k].append(i)
+    label, steps = list(range(n)), []  # label: the components of the graph below k
+    for k in range(n):
+        todo, joined, placed = adjacency[k], set(), set()
+        while todo:  # each sweep places one neighbour at least
+            waiting = []
+            for i in todo:
+                if label[i] not in joined:
+                    joined.add(label[i])
+                    placed.add(i)
+                    steps.append((i, k, None, None))
+                    continue
+                queue, seen = [[i]], {i}
+                for path in queue:  # ends at the first placed neighbour reached
+                    if path[-1] in placed:
+                        break
+                    for y in adjacency[path[-1]]:
+                        if y not in seen and (y in placed or y not in adjacency[k]):
+                            seen.add(y)
+                            queue.append(path + [y])
+                if path[-1] not in placed:
+                    waiting.append(i)
+                    continue
+                cycle = [k] + path
+                pi = _cycle_product(cycle, diag, s, z)
+                squares = prod(s[_edge(x, y)] for x, y in zip(cycle, cycle[1:] + [k]))
+                if pi * pi != squares:
+                    raise NonMemberError(
+                        NoConsistentSigns("cycle", sum(1 << v for v in cycle), squares, pi * pi))
+                placed.add(i)
+                steps.append((i, k, path, pi))
+            todo = waiting
+        for i in adjacency[k]:
+            adjacency[i].append(k)
+        label = [k if c in joined else c for c in label]
+    return diag, s, steps
 
 
 def _cycle_product(cycle: list[int], diag: list, s: dict, z: MinorVector) -> Scalar:
@@ -337,31 +252,23 @@ def _cycle_product(cycle: list[int], diag: list, s: dict, z: MinorVector) -> Sca
     return normalize(Fraction(value if len(cycle) % 2 else -value) / (2 * coords[0]))
 
 
-def _gauge_rows(diag: list, parent: list[int], fundamental: list,
-                down: dict, up: Optional[dict] = None) -> list[list]:
-    """The matrix with the given diagonal in one forest gauge: b_pc = down[e]
-    and b_cp = up[e] from parent p to child c on the forest.  Off it, b_ij
-    is the product pi around its cycle i -> j -> lca -> i divided by down
-    along path_i and up along path_j, and b_ji the mirror.  Without `up`,
-    up is down and b_ji a copy of b_ij, so floats stay exactly symmetric."""
+def _rows(diag: list, steps: list, down: dict, up: Optional[dict] = None) -> list[list]:
+    """The matrix with the given diagonal in one gauge of the forest of
+    `_place`: a gauge step (i, k) sets b_ik = down[e] and b_ki = up[e]; a
+    cycle step sets b_ki to its pi divided by the entries along i -> ...
+    -> j -> k, and b_ik = up[e] / b_ki.  Without `up`, up is down and b_ik
+    a copy of b_ki, so floats stay exactly symmetric."""
     symmetric, up = up is None, down if up is None else up
-    n = len(diag)
-    rows = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
-    for c, p in enumerate(parent):
-        if p != c:
-            rows[p][c], rows[c][p] = down[_edge(p, c)], up[_edge(p, c)]
-
-    def close(pi, path_down, path_up):
+    rows = [[diag[i] if i == j else 0 for j in range(len(diag))] for i in range(len(diag))]
+    for i, k, path, pi in steps:
+        if path is None:
+            rows[i][k], rows[k][i] = down[i, k], up[i, k]
+            continue
         value = Fraction(pi)
-        for e in path_down:
-            value /= down[e]
-        for e in path_up:
-            value /= up[e]
-        return normalize(value)
-
-    for (i, j), path_i, path_j, pi in fundamental:
-        rows[i][j] = close(pi, path_i, path_j)
-        rows[j][i] = rows[i][j] if symmetric else close(pi, path_j, path_i)
+        for x, y in zip(path, path[1:] + [k]):
+            value /= rows[x][y]
+        rows[k][i] = normalize(value)
+        rows[i][k] = rows[k][i] if symmetric else normalize(Fraction(up[i, k]) / rows[k][i])
     return rows
 
 
@@ -385,15 +292,14 @@ def reconstruct(z: MinorVector, mode: str = "exact") -> SymmetricMatrix:
     """Build a symmetric matrix whose principal minors are z / z_[0..0].
 
     One candidate, no sign search and no square roots in the decision:
-    the diagonal comes from the |I| = 1 coordinates, each s_ij = a_ij^2
-    from |I| = 2, and the product of the a_e around each cycle of a
-    minimum cycle basis from that cycle's coordinate (`_solve_gauge`).
-    One builder, `_gauge_rows`, writes each matrix in a gauge of a
-    spanning forest of the nonzero-off-diagonal graph: the rational roots
-    of the s_e alone give the rational symmetric A; when some s_e
-    is not a rational square, 1 down and s_e up give the rational B
-    diagonally similar to a complex symmetric one.  The candidate is
-    checked on every |I| = 3 coordinate and then on all 2^n.
+    the diagonal from the |I| = 1 coordinates, each s_ij = a_ij^2 from
+    |I| = 2, and per edge off the forest the product of the a_e around
+    one chordless cycle from that cycle's coordinate (`_place`).  One
+    builder, `_rows`, writes each matrix in a gauge of that forest: the
+    rational roots of the s_e alone give the rational symmetric A; when
+    some s_e is not a rational square, 1 down and s_e up give the
+    rational B diagonally similar to a complex symmetric one.  The
+    candidate is checked on every |I| = 3 coordinate and then on all 2^n.
 
     z and every nonzero multiple of it give the same matrix.  Every
     failure is a ReconstructionError whose .certificate is the one
@@ -412,11 +318,11 @@ def reconstruct(z: MinorVector, mode: str = "exact") -> SymmetricMatrix:
     if z0 == 0:
         raise ZeroLeadingCoordinateError("leading coordinate z_[0..0] is zero"
                                          " (the open chart z_[0..0] != 0 is required)")
-    diag, s, parent, forest, fundamental = _solve_gauge(z)
-    roots = {e: sqrt_exact(s[e]) for e in forest}
+    diag, s, steps = _place(z)
+    roots = {(i, k): sqrt_exact(s[i, k]) for i, k, path, _ in steps if path is None}
     non_square = next((e for e, root in roots.items() if root is None), None)
-    rows = (_gauge_rows(diag, parent, fundamental, roots) if non_square is None
-            else _gauge_rows(diag, parent, fundamental, dict.fromkeys(forest, 1), s))
+    rows = (_rows(diag, steps, roots) if non_square is None
+            else _rows(diag, steps, dict.fromkeys(roots, 1), s))
     _verify(rows, z)
     if mode == "exact":
         if non_square is not None:
@@ -427,15 +333,16 @@ def reconstruct(z: MinorVector, mode: str = "exact") -> SymmetricMatrix:
         return SymmetricMatrix.from_rows(rows)
     try:
         if non_square is not None:
-            rows = _gauge_rows(diag, parent, fundamental, {
+            rows = _rows(diag, steps, {
                 e: cmath.sqrt(s[e]) if root is None else root for e, root in roots.items()})
-            # b_ij^2 = s_ij off the forest too: a rational |b_ij| is written
-            # exactly, with the sign that the float has
-            for (i, j), *_ in fundamental:
-                root, unit = sqrt_exact(abs(s[i, j])), 1 if s[i, j] > 0 else 1j
+            # b_ik^2 = s_ik on the cycle steps too: a rational |b_ik| is
+            # written exactly, with the sign that the float has
+            for i, k, path, _ in steps:
+                root = None if path is None else sqrt_exact(abs(s[i, k]))
                 if root is not None:
-                    sign = 1 if (rows[i][j] / unit).real > 0 else -1
-                    rows[i][j] = rows[j][i] = sign * unit * root
+                    unit = 1 if s[i, k] > 0 else 1j
+                    sign = 1 if (rows[i][k] / unit).real > 0 else -1
+                    rows[i][k] = rows[k][i] = sign * unit * root
         return SymmetricMatrix(n, tuple(tuple(complex(v) for v in row) for row in rows))
     except OverflowError:
         raise ValueError("numeric mode: an entry does not fit a complex float") from None
@@ -495,10 +402,17 @@ def is_member(z: MinorVector, method: str = "basis") -> MembershipReport:
     if n <= 2 and method != "reconstruct":
         return MembershipReport(n, VERDICT_MEMBER, method)
     if method == "basis":
+        # each entry is homogeneous of degree 4: evaluate on the primitive
+        # integer multiple p = (L/g) z and scale by (g/L)^4
+        common = lcm(*(c.denominator for c in z.coords))
+        ints = [c.numerator * (common // c.denominator) for c in z.coords]
+        g = gcd(*ints)
+        point, scale = MinorVector(n, tuple(c // g for c in ints)), Fraction(g, common) ** 4
         for index, entry in enumerate(hd_basis(n).entries):
-            value = evaluate(entry.polynomial, z)
+            value = evaluate(entry.polynomial, point)
             if value != 0:
-                return MembershipReport(n, VERDICT_NON_MEMBER, method, BasisViolation(index, value))
+                return MembershipReport(n, VERDICT_NON_MEMBER, method,
+                                        BasisViolation(index, normalize(value * scale)))
         return MembershipReport(n, VERDICT_MEMBER, method)
     if method == "reconstruct":
         moves = 0
@@ -525,16 +439,22 @@ def is_member(z: MinorVector, method: str = "basis") -> MembershipReport:
 # 0.3 s at n = 6 on a 2-core x86 VM with Python 3.11, and about 64 times
 # that at n = 7.  `experiment sign-flip` evaluates trials times as many,
 # at most MAX_SIGN_FLIP_PATTERNS: 8 trials at n = 6 take 2.4 s there.
-MAX_SIGN_FLIP_FACTORS = 6
 MAX_SIGN_FLIP_PATTERNS = 1 << 13
 
 
-def check_sign_flip_size(n: int) -> None:
+def check_sign_flip_size(n: int, trials: int = 1) -> None:
+    """Reject n < 1, then trials * 2^C(n-1,2) patterns beyond the bound (so
+    n <= 6), comparing C(n-1,2) with its exponent before any shift."""
     if n < 1:
         raise ValueError(f"size must be at least 1, got {excerpt(n)}")
-    if n > MAX_SIGN_FLIP_FACTORS:
-        raise ValueError(f"size too large: 2^(n(n-1)/2) patterns beyond"
-                         f" n={MAX_SIGN_FLIP_FACTORS}")
+    pairs = (n - 1) * (n - 2) // 2
+    size_too_large = pairs >= MAX_SIGN_FLIP_PATTERNS.bit_length()
+    if size_too_large or trials << pairs > MAX_SIGN_FLIP_PATTERNS:
+        raise ValueError(
+            f"size too large: 2^((n-1)(n-2)/2) patterns beyond {MAX_SIGN_FLIP_PATTERNS},"
+            f" got {excerpt(n)}" if size_too_large else
+            f"--trials too large: trials * 2^((n-1)(n-2)/2) patterns beyond"
+            f" {MAX_SIGN_FLIP_PATTERNS}, got {excerpt(trials)}")
 
 
 @dataclass(frozen=True)

@@ -110,7 +110,12 @@ def scalar_str(value: Scalar) -> str:
 
 def scalar_text(value: Scalar) -> str:
     """The text str() gives a Scalar ("-3", "7/2") for messages, through
-    scalar_str and so past the int-to-str limit."""
+    scalar_str and so past the int-to-str limit.  A numerator or
+    denominator past MAX_DIGITS digits, which scalar_str cannot write,
+    is cut to a note of that bound."""
+    f = Fraction(value)
+    if abs(f.numerator) >= _DIGIT_BOUND or f.denominator >= _DIGIT_BOUND:
+        return f"(more than {MAX_DIGITS} digits)"
     return scalar_str(value).removesuffix("/1")
 
 

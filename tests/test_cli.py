@@ -407,6 +407,29 @@ def test_rejected_values_are_cut_in_error_lines(tmp_path, capsys):
     assert capsys.readouterr().err == "error: --trials must be at least 1, got -1\n"
 
 
+def test_reconstruct_cuts_certificate_values_past_the_digit_bound(tmp_path, capsys):
+    # coordinates of 19,999 digits; the cycle certificate's pi_C^2 has
+    # about 120,000, which no document can hold: a non-member all the same
+    from principal_minors import MinorVector
+    from principal_minors.membership import NoConsistentSigns, NonMemberError
+    from principal_minors.scalars import MAX_DIGITS
+
+    d = 10 ** 19998
+    infile, out = tmp_path / "z.json", tmp_path / "m.json"
+    write_minors(infile, MinorVector.from_values(3, [1, d, d, 0, d, 0, 0, 5]))
+    for mode in ("exact", "numeric"):
+        assert main(["reconstruct", "--in", str(infile), "--out", str(out), "--mode", mode]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == ("non-member: no off-diagonal signs fit the cycle at encoding 7:"
+                                f" expected (more than {MAX_DIGITS} digits),"
+                                f" got (more than {MAX_DIGITS} digits)\n")
+    # a value within the bound is written whole, as before
+    err = NonMemberError(NoConsistentSigns("cycle", 7, -(10 ** 19999 - 1), Fraction(1, 3)))
+    assert str(err) == (f"no off-diagonal signs fit the cycle at encoding 7:"
+                        f" expected -{'9' * 19999}, got 1/3")
+
+
 def test_rep_decompose(capsys):
     assert main(["rep", "decompose", "--d", "4", "--n", "2"]) == 0
     out = capsys.readouterr().out
@@ -513,15 +536,20 @@ def test_experiment_sign_flip_rejects_nonpositive_trials(tmp_path, capsys):
 
 def test_experiment_sign_flip_checks_its_bound_before_sampling(monkeypatch, capsys):
     from principal_minors import cli
-    from principal_minors.membership import MAX_SIGN_FLIP_FACTORS
+    from principal_minors.scalars import EXCERPT_CHARS
 
     def sample(*args, **kwargs):
         raise AssertionError("sampled a matrix beyond the bound")
 
     monkeypatch.setattr(cli, "random_symmetric_matrix", sample)
-    assert main(["experiment", "sign-flip", "--n", str(MAX_SIGN_FLIP_FACTORS + 1)]) == 2
-    assert capsys.readouterr().err == ("error: size too large: 2^(n(n-1)/2) patterns beyond"
-                                       f" n={MAX_SIGN_FLIP_FACTORS}\n")
+    # 2^C(n-1,2) <= 8192 exactly when n <= 6
+    assert main(["experiment", "sign-flip", "--n", "7"]) == 2
+    assert capsys.readouterr().err == ("error: size too large: 2^((n-1)(n-2)/2) patterns beyond"
+                                       " 8192, got 7\n")
+    # C(n-1,2) is compared before 2 is raised to it
+    assert main(["experiment", "sign-flip", "--n", "9" * 5000]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: size too large:") and len(err) < EXCERPT_CHARS + 160
     for n in (0, -3):
         assert main(["experiment", "sign-flip", "--n", str(n)]) == 2
         assert capsys.readouterr().err == f"error: size must be at least 1, got {n}\n"

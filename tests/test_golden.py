@@ -209,6 +209,11 @@ CYCLES = {
     "5-cycle-path": (5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], 0b11110),
 }
 
+# vertex 6 joins two components below it, the path 0-1-2-3 and the edge
+# 4-5: a gauge step to each, then a cycle step around the 5-cycle
+# 6-3-2-1-0 and one around the triangle 6-5-4
+JOINED = (7, [(0, 1), (0, 6), (1, 2), (2, 3), (3, 6), (4, 5), (4, 6), (5, 6)])
+
 # rationals that fractions.Fraction reads and the documents' grammar does not
 BAD_RATIONALS = {"decimal": "1.5", "exponent": "1e1000000", "underscore": "1_0/1",
                 "leading-space": " 1/1", "plus-sign": "+1/1", "arabic-indic": "\u0661/\u0662"}
@@ -350,6 +355,13 @@ def cases() -> dict[str, tuple[list[str], object]]:
                                           "--out", "report.json"], document)
         add(f"reconstruct/exact/{name}", ["reconstruct", "--in", INPUT, "--out", "matrix.json"],
             document)
+    n, edges = JOINED
+    document = minors_doc(laplace_minors(on_graph(n, edges, random.Random("joined"))))
+    add("check/reconstruct/joined-components", ["check", "--in", INPUT, "--method",
+                                                "reconstruct", "--out", "report.json"], document)
+    for mode in RECONSTRUCTIONS:
+        add(f"reconstruct/{mode}/joined-components",
+            ["reconstruct", "--in", INPUT, "--out", "matrix.json", "--mode", mode], document)
     for name, document in MALFORMED_MINORS.items():
         for argv in (["check", "--in", INPUT], ["reconstruct", "--in", INPUT, "--out", "m.json"]):
             add(f"{argv[0]}/malformed/{name}", argv, document)
@@ -401,6 +413,13 @@ def cases() -> dict[str, tuple[list[str], object]]:
     add("reconstruct/numeric/digits/non-square-beyond-float",
         ["reconstruct", "--in", INPUT, "--out", "matrix.json", "--mode", "numeric"],
         minors_doc([1, 1, 1, 1 - 2 * 10 ** 400]))
+    # a non-member within the bound whose cycle certificate is not: pi_C^2
+    # has about 120,000 digits, so the message names the bound instead
+    huge = 10 ** 19998
+    for mode in RECONSTRUCTIONS:
+        add(f"reconstruct/{mode}/digits/oversized-certificate",
+            ["reconstruct", "--in", INPUT, "--out", "matrix.json", "--mode", mode],
+            minors_doc([1, huge, huge, 0, huge, 0, 0, 5]))
     add("check/digits/20001", ["check", "--in", INPUT, "--method", "reconstruct"],
         {"kind": "minors", "schema_version": 1, "n": 1, "order": "lsb-factor-1",
          "coords": ["1/1", "1" + "0" * 20000]})

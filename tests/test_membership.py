@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations, product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -710,8 +712,9 @@ def test_gauge_solve_matches_sign_search():
                 if want[0] == "member" or dense:
                     assert got == want, (a, probe)
                 elif want[0] == "minor-mismatch":
-                    # one candidate: its own first mismatch, or a basis
-                    # cycle of length >= 4 that the triples never see
+                    # one candidate: its own first mismatch, or a cycle
+                    # step's chordless cycle of length >= 4, which the
+                    # triples never see
                     assert got[0] in ("minor-mismatch", "no-consistent-signs"), (a, probe)
                 else:
                     assert got == want, (a, probe)
@@ -790,6 +793,49 @@ def test_gauge_solve_on_sparse_cycles_cut_vertices_and_components():
             assert reference_reconstruct(probe)[0] == "minor-mismatch"
 
 
+def joined_graph(n: int, rng) -> list[tuple[int, int]]:
+    """Edges of a random graph: trees on blocks of the vertices below a
+    vertex `top`, which joins several blocks with one or more edges each;
+    above it each vertex hangs on a lower one or stays isolated; then
+    0..n random extra edges."""
+    top = rng.randrange(2, n)
+    cuts = sorted(rng.sample(range(1, top), rng.randint(0, min(3, top - 1))))
+    edges = set()
+    for low, high in zip([0] + cuts, cuts + [top]):
+        edges.update((rng.randrange(low, v), v) for v in range(low + 1, high))
+        edges.update((v, top) for v in rng.sample(range(low, high), rng.randint(1, high - low)))
+    edges.update((rng.randrange(v), v) for v in range(top + 1, n) if rng.random() < 0.8)
+    others = [e for e in combinations(range(n), 2) if e not in edges]
+    edges.update(rng.sample(others, min(rng.randint(0, n), len(others))))
+    return sorted(edges)
+
+
+def test_cycle_steps_read_chordless_cycles_that_span_the_cycle_space():
+    # each edge is placed once, below its top vertex; the vertex set of a
+    # cycle step induces exactly its cycle, and the cycle steps number
+    # |E| - n + c, the dimension of the cycle space
+    rng = random.Random(52)
+    for trial in range(120):
+        n = 3 + trial % 10
+        edges = joined_graph(n, rng) if trial % 4 else sorted(
+            (rng.randrange(v), v) for v in range(1, n))  # a tree
+        z = minor_vector(matrix_on_graph(n, edges, rng), 1)
+        diag, s, steps = membership._place(z)
+        assert sorted(s) == edges
+        assert sorted((i, k) for i, k, *_ in steps) == edges
+        label = list(range(n))
+        for i, j in edges:
+            label = [label[i] if c == label[j] else c for c in label]
+        cycle_steps = [(i, k, path) for i, k, path, _ in steps if path is not None]
+        assert len(cycle_steps) == len(edges) - n + len(set(label)), edges
+        for i, k, path in cycle_steps:
+            cycle = [k] + path
+            assert len(set(cycle)) == len(cycle) >= 3 and path[0] == i
+            around = {tuple(sorted(e)) for e in zip(cycle, cycle[1:] + cycle[:1])}
+            induced = {e for e in edges if e[0] in cycle and e[1] in cycle}
+            assert induced == around, (edges, cycle)
+
+
 def with_denominators(a: SymmetricMatrix, rng) -> SymmetricMatrix:
     """a with each entry over a random denominator, kept symmetric."""
     rows = a.rows()
@@ -800,9 +846,10 @@ def with_denominators(a: SymmetricMatrix, rng) -> SymmetricMatrix:
 
 
 def test_four_term_cycle_read_matches_the_b0_determinant(monkeypatch):
-    # on a member the path minors are the continuants that B0 builds from
-    # the |I| <= 2 coordinates; on a triangle they are those coordinates,
-    # so the reads agree on its non-members too
+    # every chordless cycle that a cycle step reads: on a member the path
+    # minors are the continuants that B0 builds from the |I| <= 2
+    # coordinates; on a triangle they are those coordinates, so the reads
+    # agree on its non-members too
     reads = []
     cycle_product = membership._cycle_product
 
@@ -865,6 +912,39 @@ def dmd_minors(m: SymmetricMatrix, q) -> MinorVector:
     return MinorVector.from_values(m.n, coords)
 
 
+def test_basis_check_evaluates_the_primitive_integer_multiple(monkeypatch):
+    # the entries are homogeneous of degree 4, so the values on (L/g) z,
+    # scaled by (g/L)^4, are the values on z, with the same types, for
+    # rational z and for integer z with g = 1 or g > 1
+    rng = random.Random(53)
+    points = []
+    calls = []
+    evaluate_home = membership.evaluate
+
+    def recording(poly, point):
+        calls.append(point)
+        return evaluate_home(poly, point)
+
+    monkeypatch.setattr(membership, "evaluate", recording)
+    for n in (3, 4, 5):
+        a = with_denominators(random_symmetric_matrix(n, rng), rng)
+        z = minor_vector(a, 1).scale(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+        points += [z, perturb(z, (1 << n) - 1, Fraction(1, 3)), perturb(z, 0b111, -2)]
+        y = minor_vector(random_symmetric_matrix(n, rng), 1)
+        points += [y, y.scale(6), perturb(y.scale(6), (1 << n) - 1, 6)]
+    for z in points:
+        calls.clear()
+        report = is_member(z, "basis")
+        assert calls and all(type(c) is int for c in calls[0].coords)
+        want = next(((index, value) for index, entry in enumerate(membership.hd_basis(z.n).entries)
+                     if (value := evaluate(entry.polynomial, z)) != 0), None)
+        if want is None:
+            assert report.verdict == "member"
+        else:
+            cert = report.certificate
+            assert (cert.entry_index, cert.value) == want and type(cert.value) is type(want[1])
+
+
 def test_dmd_members_are_decided():
     rng = random.Random(48)
     q = (2, 3, -1, 5, 7, Fraction(1, 3), 6, -2)
@@ -885,6 +965,43 @@ def test_dmd_members_are_decided():
         with pytest.raises(NonSquareEntryError) as err:
             reconstruct(dmd_minors(m, [abs(v) for v in q[:n]]), "exact")
         assert err.value.real
+
+
+def test_numeric_rounding_stays_small_along_chains_of_cycle_steps():
+    # on a ladder (rungs 2r - 2r+1, rails v - v+2) each rung's cycle step
+    # divides by the previous rung's entry, so rounding could build up;
+    # every entry of D M D stays within 8 ulps of +-sqrt(s_e), computed to
+    # 50 digits, and each rung square keeps pi_C = prod m_e prod q_v.  The
+    # second q makes some cycle-step entries rational squares (b_89: 6 * 6)
+    rng = random.Random(54)
+    n = 12
+    edges = sorted({(2 * r, 2 * r + 1) for r in range(n // 2)}
+                   | {(v, v + 2) for v in range(n - 2)})
+    for q in ([2, 3, -1, 5, 7, 6, -2, 10, 11, 13, -3, 14],
+              [2, 3, 2, 3, 5, -7, 5, -7, 6, 6, -1, 11]):
+        for _ in range(5):
+            m = matrix_on_graph(n, edges, rng).entries
+            z = dmd_minors(SymmetricMatrix.from_rows(m), q)
+            depth = {}
+            for i, k, path, _ in membership._place(z)[2]:
+                if path is not None:
+                    depth[i, k] = 1 + max(depth.get((min(x, y), max(x, y)), 0)
+                                          for x, y in zip(path, path[1:] + [k]))
+            assert max(depth.values()) == n // 2 - 1
+            b = reconstruct(z, "numeric").entries
+            for i, j in edges:
+                s = m[i][j] ** 2 * q[i] * q[j]
+                near, off = (b[i][j].real, b[i][j].imag)[::1 if s > 0 else -1]
+                with localcontext() as context:
+                    context.prec = 50
+                    root = Decimal(abs(s)).sqrt()
+                    error = (abs(abs(Decimal(near)) - root) ** 2 + Decimal(off) ** 2).sqrt() / root
+                assert error <= 8 * 2.0 ** -52, (q, i, j, b[i][j])
+            for v in range(0, n - 2, 2):
+                square = (v, v + 1, v + 3, v + 2)
+                want = prod(m[x][y] * q[x] for x, y in zip(square, square[1:] + square[:1]))
+                got = prod(b[x][y] for x, y in zip(square, square[1:] + square[:1]))
+                assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_dmd_basis_and_reconstruct_agree():
