@@ -1,9 +1,13 @@
 """Deciding whether a length-2^n vector is a vector of principal minors.
 
 Three methods:
-  basis       evaluate every entry of the degree-4 module basis; all
-              zeros certifies membership over the complex numbers, any
-              nonzero value is a non-membership certificate.
+  basis       per triple T, the coefficients of hwv_T(u(s) . z) as a
+              polynomial in the shifts of the factors outside T; each is
+              a nonzero multiple of one degree-4 module basis entry's
+              value (`_first_nonzero_entry`).  All zero certifies
+              membership over the complex numbers with no basis built;
+              otherwise the first nonzero entry, in basis order, is
+              evaluated once for the non-membership certificate.
   reconstruct rebuild one candidate matrix, square-root free: the
               diagonal and each a_ij^2 from the |I| <= 2 coordinates, and
               per edge off the greedy forest the product of the a_e around
@@ -30,7 +34,7 @@ from itertools import combinations, product
 from math import gcd, lcm, prod
 from typing import Optional
 
-from .hyperdet import cayley_hyperdet, hd_basis
+from .hyperdet import MAX_BASIS_FACTORS, cayley_hyperdet, hd_basis
 from .indices import MinorVector
 from .matrices import SymmetricMatrix, det_exact
 from .minor_map import all_principal_minors, minor_vector
@@ -370,6 +374,62 @@ def _witness(z: MinorVector) -> Optional[PrefilterViolation]:
     return None
 
 
+# -- basis -------------------------------------------------------------
+
+def _products(terms) -> dict:
+    """The sum of c * f * g over the (c, f, g) in terms, for polynomials
+    in s keyed as in `_slice_form`."""
+    out: dict = {}
+    for c, f, g in terms:
+        for a, u in f.items():
+            for b, v in g.items():
+                out[a + b] = out.get(a + b, 0) + c * u * v
+    return out
+
+
+def _slice_form(z: MinorVector, triple: tuple[int, int, int]) -> dict:
+    """hwv_T(u(s) . z) for the 0-based triple T, u(s) = [[1, s_k], [0, 1]]
+    on the m = n - 3 factors outside T, as a dict from exponent keys to
+    coefficients.  The key of s^e is sum e_j 5^(m-1-j), e_j the exponent
+    of the j-th outside factor: the odometer rank of e in hd_basis (last
+    factor fastest).  Keys add with no carries, as every degree is at
+    most 4.
+
+    hwv_T reads the slice x_t, t in {0,1}^3, that puts the outside bits
+    at 0; each x_t is multilinear in s with the coordinates z_(t|B), B
+    within the outside factors, as coefficients.  With A0 and A1 the
+    halves of the slice by T's first factor, Cayley's form is
+    d1^2 - 4 d0 d2, where det(A0 + x A1) = d0 + d1 x + d2 x^2."""
+    n, coords = z.n, z.coords
+    subsets = [(0, 0)]  # (encoding of B, key of s^B)
+    for j, k in enumerate(k for k in range(n) if k not in triple):
+        subsets += [(enc | 1 << k, key + 5 ** (n - 4 - j)) for enc, key in subsets]
+    x = []
+    for t in range(8):
+        base = sum(1 << v for b, v in enumerate(triple) if t >> b & 1)
+        x.append({key: c for enc, key in subsets if (c := coords[base | enc])})
+    d0 = _products([(1, x[0], x[6]), (-1, x[2], x[4])])
+    d1 = _products([(1, x[0], x[7]), (1, x[1], x[6]), (-1, x[2], x[5]), (-1, x[3], x[4])])
+    d2 = _products([(1, x[1], x[7]), (-1, x[3], x[5])])
+    return _products([(1, d1, d1), (-4, d0, d2)])
+
+
+def _first_nonzero_entry(z: MinorVector) -> Optional[int]:
+    """The index in hd_basis(n) of the first entry that is nonzero at z,
+    or None when every entry vanishes there; no basis is built.
+
+    The entry (T, e) is a nonzero multiple of lower^e hwv_T, and lower in
+    factor k is d/ds_k of u(s) = [[1, s_k], [0, 1]] there, so its value
+    at z is a nonzero constant multiple of the coefficient of s^e in
+    `_slice_form(z, T)`.  Entries come triple by triple in lex order,
+    5^(n-3) per triple in the order of the keys."""
+    for rank, triple in enumerate(combinations(range(z.n), 3)):
+        keys = [key for key, c in _slice_form(z, triple).items() if c]
+        if keys:
+            return rank * 5 ** (z.n - 3) + min(keys)
+    return None
+
+
 # -- membership --------------------------------------------------------
 
 def is_member(z: MinorVector, method: str = "basis") -> MembershipReport:
@@ -381,8 +441,15 @@ def is_member(z: MinorVector, method: str = "basis") -> MembershipReport:
     MatrixCertificate of the matrix it returns, or the certificate of the
     ReconstructionError it raises (a member with no rational symmetric
     realization gets a SymmetrizableCertificate, a non-member a
-    NoConsistentSigns or MinorMismatch).  method="basis" raises ValueError
-    beyond n = 6, the bound of hd_basis.
+    NoConsistentSigns or MinorMismatch).
+
+    method="basis" tests every entry of hd_basis(n) for zero through the
+    coefficients of hwv_T(u(s) . z) (`_first_nonzero_entry`), on the
+    primitive integer multiple (L/g) z.  A member builds no basis and
+    evaluates nothing; a non-member's BasisViolation names the first
+    nonzero entry in basis order, whose value is the one evaluation,
+    scaled by (g/L)^4.  It raises ValueError beyond n = 6, the bound of
+    hd_basis, since a certificate names a basis entry.
 
     With method="reconstruct" and z_[0..0] = 0, z is first
     moved into the open chart by J_I: the Weyl element J = [[0, 1],
@@ -402,18 +469,20 @@ def is_member(z: MinorVector, method: str = "basis") -> MembershipReport:
     if n <= 2 and method != "reconstruct":
         return MembershipReport(n, VERDICT_MEMBER, method)
     if method == "basis":
-        # each entry is homogeneous of degree 4: evaluate on the primitive
-        # integer multiple p = (L/g) z and scale by (g/L)^4
+        if n > MAX_BASIS_FACTORS:
+            hd_basis(n)  # raises hd_basis's ValueError for the bound
+        # each entry is homogeneous of degree 4: test and evaluate on the
+        # primitive integer multiple p = (L/g) z and scale by (g/L)^4
         common = lcm(*(c.denominator for c in z.coords))
         ints = [c.numerator * (common // c.denominator) for c in z.coords]
         g = gcd(*ints)
         point, scale = MinorVector(n, tuple(c // g for c in ints)), Fraction(g, common) ** 4
-        for index, entry in enumerate(hd_basis(n).entries):
-            value = evaluate(entry.polynomial, point)
-            if value != 0:
-                return MembershipReport(n, VERDICT_NON_MEMBER, method,
-                                        BasisViolation(index, normalize(value * scale)))
-        return MembershipReport(n, VERDICT_MEMBER, method)
+        index = _first_nonzero_entry(point)
+        if index is None:
+            return MembershipReport(n, VERDICT_MEMBER, method)
+        value = evaluate(hd_basis(n).entries[index].polynomial, point)
+        return MembershipReport(n, VERDICT_NON_MEMBER, method,
+                                BasisViolation(index, normalize(value * scale)))
     if method == "reconstruct":
         moves = 0
         if z[0] == 0:

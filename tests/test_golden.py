@@ -325,10 +325,7 @@ def cases() -> dict[str, tuple[list[str], object]]:
     for n in range(1, 8):
         for vector, coords in minor_vectors(n).items():
             for method, vectors in CHECKS.items():
-                # n = 6 basis checks run on non-members only, which stop at
-                # their first nonzero entry instead of evaluating all 2,500
-                if vector in vectors and (method != "basis" or n < 6
-                                          or n == 6 and vector.startswith("perturbed")):
+                if vector in vectors and (method != "basis" or n < 7):
                     add(f"check/{method}/{vector}/n={n}",
                         ["check", "--in", INPUT, "--method", method, "--out", "report.json"],
                         minors_doc(coords))
@@ -569,6 +566,20 @@ def test_outputs_match_the_manifest():
     assert not problems, (f"{len(problems)} golden case(s) changed"
                           " (rewrite with `python tests/test_golden.py`):\n"
                           + "\n".join(problems))
+
+
+def test_basis_and_reconstruct_agree_on_every_corpus_vector():
+    from principal_minors import MinorVector, is_member
+
+    checked = 0
+    for n in range(3, 7):
+        for name, coords in minor_vectors(n).items():
+            z = MinorVector.from_values(n, coords)
+            if not z.is_zero():
+                verdict = is_member(z, "basis").verdict
+                assert verdict == is_member(z, "reconstruct").verdict, (n, name)
+                checked += 1
+    assert checked == 32
 
 
 def test_numeric_matrix_is_exactly_symmetric_on_sparse_dmd_members():

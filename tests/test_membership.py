@@ -5,7 +5,7 @@ import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations, product
-from math import prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -20,10 +20,11 @@ from principal_minors import (
     reconstruct,
     sign_flip_profile,
 )
-from principal_minors.hyperdet import cayley_hyperdet
+from principal_minors.hyperdet import cayley_hyperdet, hd_basis
 from principal_minors.membership import (
     BasisViolation,
     MatrixCertificate,
+    MembershipReport,
     MinorMismatch,
     NoConsistentSigns,
     NonMemberError,
@@ -913,9 +914,10 @@ def dmd_minors(m: SymmetricMatrix, q) -> MinorVector:
 
 
 def test_basis_check_evaluates_the_primitive_integer_multiple(monkeypatch):
-    # the entries are homogeneous of degree 4, so the values on (L/g) z,
-    # scaled by (g/L)^4, are the values on z, with the same types, for
-    # rational z and for integer z with g = 1 or g > 1
+    # the entries are homogeneous of degree 4, so the value on (L/g) z,
+    # scaled by (g/L)^4, is the value on z, with the same type, for
+    # rational z and for integer z with g = 1 or g > 1; a non-member
+    # evaluates its one entry there, a member evaluates nothing
     rng = random.Random(53)
     points = []
     calls = []
@@ -935,12 +937,12 @@ def test_basis_check_evaluates_the_primitive_integer_multiple(monkeypatch):
     for z in points:
         calls.clear()
         report = is_member(z, "basis")
-        assert calls and all(type(c) is int for c in calls[0].coords)
         want = next(((index, value) for index, entry in enumerate(membership.hd_basis(z.n).entries)
                      if (value := evaluate(entry.polynomial, z)) != 0), None)
         if want is None:
-            assert report.verdict == "member"
+            assert report.verdict == "member" and calls == []
         else:
+            assert len(calls) == 1 and all(type(c) is int for c in calls[0].coords)
             cert = report.certificate
             assert (cert.entry_index, cert.value) == want and type(cert.value) is type(want[1])
 
@@ -1016,6 +1018,111 @@ def test_dmd_basis_and_reconstruct_agree():
             verdict = is_member(probe, "reconstruct").verdict
             assert verdict == is_member(probe, "basis").verdict
             assert verdict == ("member" if probe is z else "non-member")
+
+
+def basis_pool(n: int, rng) -> list[MinorVector]:
+    """Integer, rational, D.M.D, sparse and z_[0..0] = 0 members, and
+    each with one coordinate perturbed."""
+    a = random_symmetric_matrix(n, rng)
+    sparse = a.rows()
+    for i, j in combinations(range(n), 2):
+        if rng.random() < 0.6:
+            sparse[i][j] = sparse[j][i] = 0
+    members = [
+        minor_vector(a, 1),
+        minor_vector(with_denominators(a, rng), 1).scale(Fraction(rng.randint(1, 9), 7)),
+        dmd_minors(random_symmetric_matrix(n, rng, nonzero_offdiag=True),
+                   [rng.choice((2, 3, -1, 5, Fraction(1, 2))) for _ in range(n)]),
+        minor_vector(SymmetricMatrix.from_rows(sparse), 1),
+    ]
+    b = random_symmetric_matrix(n, rng, nonzero_offdiag=True)
+    while det_exact(b.rows()) == 0:
+        b = random_symmetric_matrix(n, rng, nonzero_offdiag=True)
+    members.append(minor_vector(b, 0))  # (0, ..., 0, det B)
+    return members + [perturb(z, rng.randrange(1 << n), rng.choice((1, -2, Fraction(1, 3))))
+                      for z in members]
+
+
+def primitive(z: MinorVector) -> tuple[MinorVector, Fraction]:
+    """The primitive integer multiple (L/g) z, and (g/L)^4."""
+    common = lcm(*(c.denominator for c in z.coords))
+    ints = [c.numerator * (common // c.denominator) for c in z.coords]
+    g = gcd(*ints)
+    return MinorVector(z.n, tuple(c // g for c in ints)), Fraction(g, common) ** 4
+
+
+def first_nonzero_by_evaluation(z: MinorVector):
+    """The loop that `is_member(z, "basis")` replaces: every entry of
+    hd_basis in order, evaluated on the primitive integer multiple and
+    scaled; (index, value) of the first nonzero, or None."""
+    point, scale = primitive(z)
+    for index, entry in enumerate(hd_basis(z.n).entries):
+        value = evaluate(entry.polynomial, point)
+        if value != 0:
+            return index, normalize(value * scale)
+    return None
+
+
+def test_slice_form_is_cayleys_hyperdeterminant_on_three_factors():
+    # d1^2 - 4 d0 d2 of the two halves of the 2x2x2 array
+    rng = random.Random(54)
+    hyperdet = cayley_hyperdet(3, (1, 2, 3))
+    for _ in range(40):
+        x = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(8)]
+        form = membership._slice_form(MinorVector.from_values(3, x), (0, 1, 2))
+        assert set(form) <= {0}
+        assert form.get(0, 0) == evaluate(hyperdet, x)
+
+
+def test_slice_form_coefficients_vanish_with_the_basis_entries():
+    # the entry (T, e) of hd_basis is a nonzero constant multiple of the
+    # coefficient of s^e in hwv_T(u(s) . z), keyed by e's odometer rank;
+    # that rank after T's lex rank is the entry's index
+    rng = random.Random(55)
+    for n in (3, 4, 5, 6):
+        m = n - 3
+        pool = basis_pool(n, rng)
+        pool.append(perturb(pool[0], 0, -pool[0][0]))  # z_[0..0] = 0
+        if n == 6:  # 2,500 evaluations per vector
+            pool = [pool[0], pool[2], pool[4], pool[8], pool[-1]]
+        pool = [primitive(z)[0] for z in pool]
+        triples = list(combinations(range(n), 3))
+        forms = [[membership._slice_form(z, triple) for triple in triples] for z in pool]
+        for index, entry in enumerate(hd_basis(n).entries):
+            rank = triples.index(tuple(k - 1 for k in entry.triple))
+            key = 0
+            for e in entry.exponents:
+                key = 5 * key + e
+            assert index == rank * 5 ** m + key
+            ratios = set()
+            for z, form in zip(pool, forms):
+                coefficient = form[rank].get(key, 0)
+                value = evaluate(entry.polynomial, z)
+                assert (coefficient != 0) == (value != 0), (n, index, z)
+                if value != 0:
+                    ratios.add(Fraction(value) / coefficient)
+            assert len(ratios) <= 1, (n, index, ratios)
+
+
+def test_basis_check_matches_the_entry_by_entry_loop(monkeypatch):
+    # a member builds no basis; a non-member names the first nonzero
+    # entry in basis order, with the loop's value and type
+    rng = random.Random(56)
+    built = []
+    monkeypatch.setattr(membership, "hd_basis", lambda n: built.append(n) or hd_basis(n))
+    members = 0
+    for n in (3, 4, 5, 6):
+        for z in basis_pool(n, rng):
+            built.clear()
+            report = is_member(z, "basis")
+            want = first_nonzero_by_evaluation(z)
+            if want is None:
+                members += 1
+                assert report == MembershipReport(n, "member", "basis") and built == []
+            else:
+                assert report == MembershipReport(n, "non-member", "basis", BasisViolation(*want))
+                assert type(report.certificate.value) is type(want[1]) and built == [n]
+    assert members >= 20
 
 
 # -- sign-flip profile ----------------------------------------------------
