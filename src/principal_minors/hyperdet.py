@@ -11,15 +11,16 @@ basis is built for n <= MAX_BASIS_FACTORS only: at n = 7 each of the 35
 triples gives about 600,000 terms, so the whole basis would hold 21
 million terms, about 1.4 GB, although it would take only about 30 s
 (3 s to lower (1,2,3), 0.8 s to move it to each other triple, on a
-2-core x86 VM with Python 3.11).
+2-core x86 VM with Python 3.11).  `entry_content` builds one entry's
+lowering alone, at any n, for the integer it is divided by.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from math import comb
+from itertools import combinations, islice
+from math import comb, gcd
 
 from .polynomials import (
     FIELD_BITS,
@@ -29,6 +30,7 @@ from .polynomials import (
     Weight,
     _invert_permutation,
     _permute_encoding,
+    lower,
 )
 from .rep_theory import weight_basis
 from .scalars import excerpt
@@ -152,3 +154,24 @@ def hd_basis(n: int) -> ModuleBasis:
                 weight[k - 1] = -4 + 2 * e
             entries.append(BasisEntry(triple, exps, polynomial, tuple(weight)))
     return ModuleBasis(n, tuple(entries))
+
+
+@lru_cache(maxsize=None)
+def entry_content(n: int, index: int) -> int:
+    """kappa, the signed integer content of lower^e hwv_T, where index =
+    rank(T) * 5^(n-3) + key numbers the entries as hd_basis does (T the
+    lex rank(T)-th triple, e the n-3 base-5 digits of key, the last
+    outside factor's lowest), at every n >= 3: the entry is lower^e
+    hwv_T / kappa.  Only this one lowering is built; each result is one
+    int, so the cache holds at most hd_dimension(n) of them per n."""
+    m = n - 3
+    rank, key = divmod(index, 5 ** m)
+    triple = next(islice(combinations(range(1, n + 1), 3), rank, None))
+    poly = cayley_hyperdet(n, triple)
+    outside = [k for k in range(1, n + 1) if k not in triple]
+    for j, k in enumerate(outside):
+        for _ in range(key // 5 ** (m - 1 - j) % 5):
+            poly = lower(poly, k)
+    terms = poly._terms
+    content = gcd(*terms.values())
+    return -content if terms[max(terms)] < 0 else content

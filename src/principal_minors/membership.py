@@ -1,13 +1,15 @@
 """Deciding whether a length-2^n vector is a vector of principal minors.
 
 Three methods:
-  basis       per triple T, the coefficients of hwv_T(u(s) . z) as a
-              polynomial in the shifts of the factors outside T; each is
-              a nonzero multiple of one degree-4 module basis entry's
-              value (`_first_nonzero_entry`).  All zero certifies
-              membership over the complex numbers with no basis built;
-              otherwise the first nonzero entry, in basis order, is
-              evaluated once for the non-membership certificate.
+  basis       per triple T, the coefficients c_e of hwv_T(u(s) . z) as a
+              polynomial in the shifts of the factors outside T: the
+              degree-4 module basis entry (T, e) is lower^e hwv_T / kappa
+              and its value is e! c_e / kappa (`_first_nonzero_entry`).
+              All zero certifies membership over the complex numbers;
+              otherwise the first nonzero entry, in basis order, gives
+              the non-membership certificate, with kappa from that one
+              entry's lowering (`entry_content`).  No basis is built and
+              no polynomial evaluated, for n <= MAX_BASIS_CHECK_FACTORS.
   reconstruct rebuild one candidate matrix, square-root free: the
               diagonal and each a_ij^2 from the |I| <= 2 coordinates, and
               per edge off the greedy forest the product of the a_e around
@@ -31,10 +33,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm, prod
+from math import factorial, gcd, lcm, prod
 from typing import Optional
 
-from .hyperdet import MAX_BASIS_FACTORS, cayley_hyperdet, hd_basis
+# hd_basis is not called here: perfbench/tracer.py patches this name in
+# membership and requires it bound, so it goes when that patch goes
+from .hyperdet import cayley_hyperdet, entry_content, hd_basis  # noqa: F401
 from .indices import MinorVector
 from .matrices import SymmetricMatrix, det_exact
 from .minor_map import all_principal_minors, minor_vector
@@ -49,6 +53,10 @@ EXIT_MEMBER = 0
 EXIT_NON_MEMBER = 1
 EXIT_USAGE = 2
 EXIT_INDETERMINATE = 3
+
+# a dense member's coefficient tables took 0.19 s at n = 7, 2.3 s at n = 8
+# and 27 s at n = 9 (one run each, 2-core x86 VM, Python 3.11)
+MAX_BASIS_CHECK_FACTORS = 8
 
 
 # -- certificates and reports -----------------------------------------
@@ -414,20 +422,30 @@ def _slice_form(z: MinorVector, triple: tuple[int, int, int]) -> dict:
     return _products([(1, d1, d1), (-4, d0, d2)])
 
 
-def _first_nonzero_entry(z: MinorVector) -> Optional[int]:
-    """The index in hd_basis(n) of the first entry that is nonzero at z,
-    or None when every entry vanishes there; no basis is built.
+def _first_nonzero_entry(z: MinorVector) -> Optional[tuple[int, Scalar]]:
+    """(index, c_e) for the first entry of hd_basis(n) that is nonzero at
+    z, or None when every entry vanishes there; no basis is built.
 
-    The entry (T, e) is a nonzero multiple of lower^e hwv_T, and lower in
-    factor k is d/ds_k of u(s) = [[1, s_k], [0, 1]] there, so its value
-    at z is a nonzero constant multiple of the coefficient of s^e in
-    `_slice_form(z, T)`.  Entries come triple by triple in lex order,
-    5^(n-3) per triple in the order of the keys."""
+    Lower in factor k is d/ds_k of u(s) = [[1, s_k], [0, 1]] on hwv_T's
+    variables, so hwv_T(u(s) . z) = sum_e s^e lower^e hwv_T(z) / e! and
+    the entry (T, e) = lower^e hwv_T / kappa has the value e! c_e / kappa
+    at z, c_e the coefficient of s^e in `_slice_form(z, T)`.  Entries
+    come triple by triple in lex order, 5^(n-3) per triple in the order
+    of the keys."""
     for rank, triple in enumerate(combinations(range(z.n), 3)):
-        keys = [key for key, c in _slice_form(z, triple).items() if c]
-        if keys:
-            return rank * 5 ** (z.n - 3) + min(keys)
+        form = _slice_form(z, triple)
+        key = min((key for key, c in form.items() if c), default=None)
+        if key is not None:
+            return rank * 5 ** (z.n - 3) + key, form[key]
     return None
+
+
+def _entry_value(n: int, index: int, coefficient: Scalar) -> Scalar:
+    """e! c_e / kappa: the value at z of the entry with this index, from
+    the coefficient c_e of s^e in `_slice_form(z, T)`."""
+    key = index % 5 ** (n - 3)
+    scale = prod(factorial(key // 5 ** j % 5) for j in range(n - 3))
+    return normalize(Fraction(scale * coefficient) / entry_content(n, index))
 
 
 # -- membership --------------------------------------------------------
@@ -444,12 +462,12 @@ def is_member(z: MinorVector, method: str = "basis") -> MembershipReport:
     NoConsistentSigns or MinorMismatch).
 
     method="basis" tests every entry of hd_basis(n) for zero through the
-    coefficients of hwv_T(u(s) . z) (`_first_nonzero_entry`), on the
-    primitive integer multiple (L/g) z.  A member builds no basis and
-    evaluates nothing; a non-member's BasisViolation names the first
-    nonzero entry in basis order, whose value is the one evaluation,
-    scaled by (g/L)^4.  It raises ValueError beyond n = 6, the bound of
-    hd_basis, since a certificate names a basis entry.
+    coefficients c_e of hwv_T(u(s) . z) (`_first_nonzero_entry`), on the
+    primitive integer multiple (L/g) z.  It builds no basis and evaluates
+    no polynomial: a non-member's BasisViolation names the first nonzero
+    entry in basis order, whose value is e! c_e / kappa, kappa from
+    `entry_content`, scaled by (g/L)^4.  It raises ValueError beyond
+    n = MAX_BASIS_CHECK_FACTORS = 8.
 
     With method="reconstruct" and z_[0..0] = 0, z is first
     moved into the open chart by J_I: the Weyl element J = [[0, 1],
@@ -469,20 +487,20 @@ def is_member(z: MinorVector, method: str = "basis") -> MembershipReport:
     if n <= 2 and method != "reconstruct":
         return MembershipReport(n, VERDICT_MEMBER, method)
     if method == "basis":
-        if n > MAX_BASIS_FACTORS:
-            hd_basis(n)  # raises hd_basis's ValueError for the bound
-        # each entry is homogeneous of degree 4: test and evaluate on the
+        if n > MAX_BASIS_CHECK_FACTORS:
+            raise ValueError(f"the basis check is bounded at n <= {MAX_BASIS_CHECK_FACTORS},"
+                             f" got n={excerpt(n)}")
+        # each entry is homogeneous of degree 4: test and take the value on the
         # primitive integer multiple p = (L/g) z and scale by (g/L)^4
         common = lcm(*(c.denominator for c in z.coords))
         ints = [c.numerator * (common // c.denominator) for c in z.coords]
         g = gcd(*ints)
         point, scale = MinorVector(n, tuple(c // g for c in ints)), Fraction(g, common) ** 4
-        index = _first_nonzero_entry(point)
-        if index is None:
+        first = _first_nonzero_entry(point)
+        if first is None:
             return MembershipReport(n, VERDICT_MEMBER, method)
-        value = evaluate(hd_basis(n).entries[index].polynomial, point)
-        return MembershipReport(n, VERDICT_NON_MEMBER, method,
-                                BasisViolation(index, normalize(value * scale)))
+        return MembershipReport(n, VERDICT_NON_MEMBER, method, BasisViolation(
+            first[0], normalize(_entry_value(n, *first) * scale)))
     if method == "reconstruct":
         moves = 0
         if z[0] == 0:

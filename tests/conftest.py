@@ -14,7 +14,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from principal_minors import SymmetricMatrix
+from principal_minors import SymmetricMatrix, cayley_hyperdet
+from principal_minors.polynomials import lower
 
 # Spellings of rationals that fractions.Fraction reads but scalar_str never
 # writes; every reader of a rational rejects each of them.
@@ -44,6 +45,17 @@ def laplace_minors(rows):
     n = len(rows)
     return [laplace_det([[rows[i][j] for j in range(n) if enc >> j & 1]
                          for i in range(n) if enc >> i & 1]) for enc in range(1 << n)]
+
+
+def lowering(n, triple, exponents):
+    """lower^e of the hyperdeterminant on the 1-based triple, e_j times in
+    its j-th complementary factor: the basis entry (T, e) up to its
+    integer content."""
+    poly = cayley_hyperdet(n, triple)
+    for k, e in zip([k for k in range(1, n + 1) if k not in triple], exponents):
+        for _ in range(e):
+            poly = lower(poly, k)
+    return poly
 
 
 def cycle_type_of(perm):

@@ -354,15 +354,19 @@ def test_integer_option_past_the_int_to_str_limit_is_read(capsys):
 
 
 def test_basis_beyond_its_bound_exits_2(tmp_path, capsys):
+    # hd-basis is bounded at n = 6, the basis check, which builds no basis, at n = 8
     out = tmp_path / "out.json"
     infile = tmp_path / "z.json"
     write_minors(infile, minor_vector(SymmetricMatrix.from_rows(
-        [[1 if i == j else 0 for j in range(7)] for i in range(7)]), 1))
-    for command in (["hd-basis", "--n", "7"], ["check", "--in", str(infile), "--method", "basis"]):
+        [[1 if i == j else 0 for j in range(9)] for i in range(9)]), 1))
+    for command, err in (
+            (["hd-basis", "--n", "7"], "the degree-4 module basis is built for n <= 6 only, got n=7"),
+            (["check", "--in", str(infile), "--method", "basis"],
+             "the basis check is bounded at n <= 8, got n=9")):
         assert main(command + ["--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: the degree-4 module basis is built for n <= 6 only, got n=7\n"
+        assert captured.err == f"error: {err}\n"
         assert not out.exists()
 
 

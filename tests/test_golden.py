@@ -12,10 +12,8 @@ files it wrote.
 Of argv that argparse itself rejects, only the last line of stderr, its
 error, is kept: the usage text above it wraps with COLUMNS and differs
 between Python versions.  `hd-basis --n 6` stays out
-too (rendering and digesting its document takes 8-10 s); `check
---method basis` at n = 6 covers that bound and shares `hd_basis`'s cache
-with the rest of the suite, and tests/test_hyperdet.py pins that basis
-by content.
+too (rendering and digesting its document takes 8-10 s);
+tests/test_hyperdet.py pins that basis by content.
 
 After an intended output change, rewrite the manifest with
 
@@ -325,7 +323,8 @@ def cases() -> dict[str, tuple[list[str], object]]:
     for n in range(1, 8):
         for vector, coords in minor_vectors(n).items():
             for method, vectors in CHECKS.items():
-                if vector in vectors and (method != "basis" or n < 7):
+                # at n = 7 only perturbed-top: a dense member takes about 0.2 s there
+                if vector in vectors and (method != "basis" or n < 7 or vector == "perturbed-top"):
                     add(f"check/{method}/{vector}/n={n}",
                         ["check", "--in", INPUT, "--method", method, "--out", "report.json"],
                         minors_doc(coords))
@@ -336,6 +335,12 @@ def cases() -> dict[str, tuple[list[str], object]]:
                         minors_doc(coords))
     add("check/basis/member/n=7", ["check", "--in", INPUT, "--method", "basis"],
         minors_doc(minor_vectors(7)["member"]))
+    # a dense n = 8 member's check takes 2-3 s, so only a non-member; n = 9 is past the bound
+    add("check/basis/perturbed-top/n=8", ["check", "--in", INPUT, "--method", "basis",
+                                          "--out", "report.json"],
+        minors_doc(minor_vectors(8)["perturbed-top"]))
+    add("check/basis/identity/n=9", ["check", "--in", INPUT, "--method", "basis"],
+        minors_doc([1] * 512))
     add("check/basis/no-report/n=4", ["check", "--in", INPUT],
         minors_doc(minor_vectors(4)["perturbed-top"]))
     # every slice that fixes factor 4 to 0 or 1 has hyperdeterminant 0
@@ -580,6 +585,20 @@ def test_basis_and_reconstruct_agree_on_every_corpus_vector():
                 assert verdict == is_member(z, "reconstruct").verdict, (n, name)
                 checked += 1
     assert checked == 32
+
+
+def test_basis_and_reconstruct_agree_on_the_n7_vectors_and_n8_non_members():
+    from principal_minors import MinorVector, is_member
+
+    vectors = [(7, coords) for coords in minor_vectors(7).values()]
+    vectors += [(8, minor_vectors(8)[name])
+                for name in ("perturbed-top", "perturbed-coordinate", "perturbed-triple")]
+    for n, coords in vectors:
+        z = MinorVector.from_values(n, coords)
+        if not z.is_zero():
+            verdict = is_member(z, "basis").verdict
+            assert verdict == is_member(z, "reconstruct").verdict, (n, coords)
+            assert n == 7 or verdict == "non-member"
 
 
 def test_numeric_matrix_is_exactly_symmetric_on_sparse_dmd_members():

@@ -4,7 +4,7 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 
@@ -27,6 +27,8 @@ from principal_minors.hyperdet import BasisEntry
 from principal_minors.polynomials import unpack_monomial
 from principal_minors.scalars import scalar_str
 from principal_minors.sampling import random_symmetric_matrix
+
+from conftest import lowering
 
 GOLDEN_N4_DIGEST = "sha256:c93bf807aca4926a00eb25a9c46f3e8c26335a70b54852addc28ad0221794825"
 GOLDEN_N5_DIGEST = "sha256:14ee0386e43f4975f44dca40e4a4ef4a127598a236559a592b15e03268dd49d5"
@@ -137,6 +139,21 @@ def test_basis_lowers_one_triple_only(monkeypatch):
     basis = hd_basis.__wrapped__(5)  # uncached, so the shared cache stays filled
     assert calls == [cayley_hyperdet(5, (1, 2, 3))]
     assert list(basis) == list(hd_basis(5))
+
+
+def test_entry_content_is_the_signed_content_of_one_lowering():
+    # every entry at n <= 5 (two of n = 5's have kappa < 0), 40 seeded
+    # ones at n = 6: lower^e hwv_T = kappa * entry.  Observed, not proved:
+    # |kappa| = e! when every e_k is even, 2 e! otherwise
+    rng = random.Random(57)
+    for n in (3, 4, 5, 6):
+        entries = list(enumerate(hd_basis(n)))
+        for index, entry in (entries if n < 6 else rng.sample(entries, 40)):
+            kappa = hyperdet.entry_content(n, index)
+            assert lowering(n, entry.triple, entry.exponents) == entry.polynomial * kappa
+            e_factorial = prod(factorial(e) for e in entry.exponents)
+            assert abs(kappa) == e_factorial * (1 if all(e % 2 == 0 for e in entry.exponents)
+                                                else 2), (n, index)
 
 
 def test_basis_top_variable_degree_bound():
