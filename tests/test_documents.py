@@ -143,6 +143,27 @@ def test_error_messages_cut_a_long_rejected_value():
                                "order": "lsb-factor-1", "coords": ["1/1", "x"]})
 
 
+def test_minors_coords_read_in_bulk_as_one_at_a_time():
+    # a list of "p/1" texts is read with int alone; every other list goes
+    # through documents._scalar_in one value at a time
+    edges = ("-0/1", "007/1", "-" + "9" * 5000 + "/1", "9" * MAX_DIGITS + "/1",
+             "9" * (MAX_DIGITS + 1) + "/1", "1/1,2/1", "1/1\n", "+1/1", "1_0/1", "\u0661/1",
+             "/1", "-/1", "1/2", "4/2", "-3", 5, 10 ** 5000, Fraction(1, 2), None, ["1/1"])
+    for edge in edges:
+        for coords in (["1/1", edge], [edge, "-2/1", "3/1", "40/1"], ["1/1", "2/1", "3/1", edge]):
+            doc = {"kind": "minors", "schema_version": 1, "n": len(coords).bit_length() - 1,
+                   "order": "lsb-factor-1", "coords": coords}
+            try:
+                expected = tuple(documents._scalar_in(c) for c in coords)
+            except DocumentError as err:
+                with pytest.raises(DocumentError) as got:
+                    parse_minors_document(doc)
+                assert str(got.value) == str(err)
+                continue
+            got = parse_minors_document(doc).coords
+            assert got == expected and list(map(type, got)) == list(map(type, expected))
+
+
 def test_exponent_form_is_rejected_before_building_its_integer():
     # fractions.Fraction reads "1e1000000" as a 3.3-million-bit integer
     tracemalloc.start()

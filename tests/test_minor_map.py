@@ -153,49 +153,137 @@ def count_determinants(monkeypatch):
     return calls
 
 
+def chain_subsets(monkeypatch):
+    """The encoding of each subset whose minor the kernel reads off the
+    bordered chain, in a list."""
+    asked = []
+    minor = minor_map._Chain.minor
+    monkeypatch.setattr(minor_map._Chain, "minor",
+                        lambda chain, enc: asked.append(enc) or minor(chain, enc))
+    return asked
+
+
+def dominant(rows):
+    """rows with diagonal 100: strictly diagonally dominant up to n = 12,
+    so every principal minor, and so every pivot of the chain, is nonzero."""
+    return [[100 if i == j else v for j, v in enumerate(row)] for i, row in enumerate(rows)]
+
+
 def test_kernel_determinant_counts_on_paths_and_complete_graphs(monkeypatch):
     calls = count_determinants(monkeypatch)
+    asked = chain_subsets(monkeypatch)
     rng = random.Random(46)
     for n in range(1, 10):
         path = on_edges(n, [(k, k + 1) for k in range(n - 1)], rng)
         # an entry on one side only still joins its two vertices
         for rows in (path, one_sided(path, rng)):
             calls.clear()
+            asked.clear()
             assert list(all_principal_minors(rows)) == det_per_subset(rows)
-            assert calls == []  # a forest: every subset has a leaf
-    for n in range(1, 8):
+            assert calls == [] and asked == []  # a forest: every subset has a leaf
+    for n in range(1, 9):
         calls.clear()
-        rows = on_edges(n, combinations(range(n), 2), rng)
+        asked.clear()
+        rows = dominant(on_edges(n, combinations(range(n), 2), rng))
         assert list(all_principal_minors(rows)) == det_per_subset(rows)
-        # every subset of 3 or more vertices has minimum degree at least 2
-        assert len(calls) == 2 ** n - 1 - n - n * (n - 1) // 2
+        # every subset of 3 or more vertices has minimum degree at least 2,
+        # and with no zero pivot the chain takes no determinant
+        assert len(asked) == 2 ** n - 1 - n - n * (n - 1) // 2
+        assert calls == []
 
 
 def test_kernel_factors_two_cliques_without_a_cross_determinant(monkeypatch):
     calls = count_determinants(monkeypatch)
-    rows = block_diagonal([4, 4], random.Random(48))
+    asked = chain_subsets(monkeypatch)
+    rows = dominant(block_diagonal([4, 4], random.Random(48)))
     assert list(all_principal_minors(rows)) == det_per_subset(rows)
     # the 3- and 4-subsets of each clique; a subset that meets both cliques
-    # in 3 or more vertices each has no leaf, and takes a determinant of
-    # its own (35 in all) unless the kernel multiplies over components
-    assert len(calls) == 2 * (4 + 1)
+    # in 3 or more vertices each has no leaf, and would reach the chain
+    # (35 in all) unless the kernel multiplies over components
+    assert len(asked) == 2 * (4 + 1)
+    assert all(enc.bit_count() in (3, 4) for enc in asked)
+    assert calls == []
 
 
 def test_kernel_takes_determinants_only_without_a_leaf(monkeypatch):
-    calls = count_determinants(monkeypatch)
+    asked = chain_subsets(monkeypatch)
     rng = random.Random(47)
     for n in (8, 9, 10):
         rows = on_edges(n, tree_plus(n, 1, rng), rng, rational)
-        for k in range(n):
-            rows[k][k] = k + 1  # the diagonal of a determinant names its subset
-        calls.clear()
+        asked.clear()
         assert list(all_principal_minors(rows)) == det_per_subset(rows)
         adjacent = [sum(1 << j for j in range(n) if j != i and rows[i][j] != 0) for i in range(n)]
         leafless = [enc for enc in range(1, 1 << n)
                     if all((adjacent[i] & enc).bit_count() >= 2 for i in range(n) if enc >> i & 1)]
         # a tree plus one edge has exactly one such subset: its cycle
         assert len(leafless) == 1
-        assert [sum(1 << (sub[k][k] - 1) for k in range(len(sub))) for sub in calls] == leafless
+        assert asked == leafless
+
+
+def test_kernel_calls_det_exact_only_at_zero_pivots(monkeypatch):
+    calls = count_determinants(monkeypatch)
+    rng = random.Random(49)
+    for n in range(3, 9):
+        rows = on_edges(n, combinations(range(n), 2), rng, diagonal=False)
+        calls.clear()
+        minors = list(all_principal_minors(rows))
+        assert minors == det_per_subset(rows)
+        # every subset of 3 or more vertices reaches the chain, so every
+        # state R + j with 1 <= j < min(R) is built; from a state R whose
+        # minor is 0 (each vertex, at least) it takes j^2 determinants of
+        # size |R| + 2, and from any other state none
+        sizes = [enc.bit_count() + 2
+                 for enc in range(1, 1 << n) if minors[enc] == 0
+                 for j in range(1, (enc & -enc).bit_length() - 1) for _ in range(j * j)]
+        assert sorted(map(len, calls)) == sorted(sizes)
+        assert len(sizes) >= sum(j * j for k in range(n) for j in range(k))
+
+
+def low_rank(n, rank, rng):
+    """sum of rank outer products v v^T: every minor of size above rank
+    is 0, so from that depth on every pivot of the chain is."""
+    vectors = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rank)]
+    return [[sum(v[i] * v[j] for v in vectors) for j in range(n)] for i in range(n)]
+
+
+def twin(rows, rng):
+    """rows with vertex b a copy of vertex a, so every subset holding both
+    is singular; the copies are symmetric."""
+    n = len(rows)
+    a, b = rng.sample(range(n), 2)
+    rows = [list(row) for row in rows]
+    for k in range(n):
+        rows[b][k] = rows[k][b] = rows[a][k]
+    rows[b][b] = rows[a][b] = rows[b][a] = rows[a][a]
+    return rows
+
+
+def test_kernel_equals_one_determinant_per_subset_on_seeded_matrices():
+    rng = random.Random(50)
+
+    def entry(r, kind):
+        value = r.choice((-1, 1)) * r.randint(0, 9)
+        return Fraction(value, r.randint(1, 9)) if kind == "rational" else value
+
+    for _ in range(120):
+        n = rng.randint(1, 8)
+        kind = rng.choice(("integer", "rational"))
+        edges = [e for e in combinations(range(n), 2) if rng.random() < rng.random() + 0.2]
+        rows = on_edges(n, edges, rng, lambda r: entry(r, kind))
+        for k in range(n):
+            rows[k][k] = entry(rng, kind)
+        cases = [rows, one_sided(rows, rng), low_rank(n, rng.randint(1, 3), rng)]
+        if n > 1:
+            cases.append(twin(rows, rng))
+        zero_diagonal = [list(row) for row in rows]
+        for k in range(n):
+            zero_diagonal[k][k] = 0
+        cases.append(zero_diagonal)
+        for case in cases:
+            minors = list(all_principal_minors(case))
+            expected = det_per_subset(case)
+            assert minors == expected
+            assert list(map(type, minors)) == list(map(type, expected))
 
 
 @st.composite
