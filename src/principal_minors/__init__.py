@@ -27,7 +27,6 @@ from .polynomials import (
     weight_of,
 )
 from .rep_theory import (
-    IsotypicMatch,
     IsotypicSummand,
     Partition,
     character,
@@ -55,7 +54,6 @@ __all__ = [
     "TensorPolynomial",
     "GroupElement",
     "Partition",
-    "IsotypicMatch",
     "IsotypicSummand",
     "BasisEntry",
     "ModuleBasis",

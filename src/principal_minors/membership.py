@@ -1,15 +1,11 @@
 """Deciding whether a length-2^n vector is a vector of principal minors.
 
 Three methods:
-  basis       per triple T, the coefficients c_e of hwv_T(u(s) . z) as a
-              polynomial in the shifts of the factors outside T: the
-              degree-4 module basis entry (T, e) is lower^e hwv_T / kappa
-              and its value is e! c_e / kappa (`_first_nonzero_entry`).
-              All zero certifies membership over the complex numbers;
-              otherwise the first nonzero entry, in basis order, gives
-              the non-membership certificate, with kappa from that one
-              entry's lowering (`entry_content`).  No basis is built and
-              no polynomial evaluated, for n <= MAX_BASIS_CHECK_FACTORS.
+  basis       the degree-4 module basis vanishes at z exactly when z is
+              a member over the complex numbers; otherwise the first
+              nonzero entry, in basis order, and its value are the
+              certificate.  `hyperdet.first_nonzero_entry` answers with
+              no basis built, for n <= MAX_BASIS_CHECK_FACTORS.
   reconstruct rebuild one candidate matrix, square-root free: the
               diagonal and each a_ij^2 from the |I| <= 2 coordinates, and
               per edge off the greedy forest the product of the a_e around
@@ -33,12 +29,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import factorial, gcd, lcm, prod
+from math import prod
 from typing import Optional
 
 # hd_basis is not called here: perfbench/tracer.py patches this name in
 # membership and requires it bound, so it goes when that patch goes
-from .hyperdet import cayley_hyperdet, entry_content, hd_basis  # noqa: F401
+from .hyperdet import cayley_hyperdet, first_nonzero_entry, hd_basis  # noqa: F401
 from .indices import MinorVector
 from .matrices import SymmetricMatrix, det_exact
 from .minor_map import all_principal_minors, minor_vector
@@ -382,72 +378,6 @@ def _witness(z: MinorVector) -> Optional[PrefilterViolation]:
     return None
 
 
-# -- basis -------------------------------------------------------------
-
-def _products(terms) -> dict:
-    """The sum of c * f * g over the (c, f, g) in terms, for polynomials
-    in s keyed as in `_slice_form`."""
-    out: dict = {}
-    for c, f, g in terms:
-        for a, u in f.items():
-            for b, v in g.items():
-                out[a + b] = out.get(a + b, 0) + c * u * v
-    return out
-
-
-def _slice_form(z: MinorVector, triple: tuple[int, int, int]) -> dict:
-    """hwv_T(u(s) . z) for the 0-based triple T, u(s) = [[1, s_k], [0, 1]]
-    on the m = n - 3 factors outside T, as a dict from exponent keys to
-    coefficients.  The key of s^e is sum e_j 5^(m-1-j), e_j the exponent
-    of the j-th outside factor: the odometer rank of e in hd_basis (last
-    factor fastest).  Keys add with no carries, as every degree is at
-    most 4.
-
-    hwv_T reads the slice x_t, t in {0,1}^3, that puts the outside bits
-    at 0; each x_t is multilinear in s with the coordinates z_(t|B), B
-    within the outside factors, as coefficients.  With A0 and A1 the
-    halves of the slice by T's first factor, Cayley's form is
-    d1^2 - 4 d0 d2, where det(A0 + x A1) = d0 + d1 x + d2 x^2."""
-    n, coords = z.n, z.coords
-    subsets = [(0, 0)]  # (encoding of B, key of s^B)
-    for j, k in enumerate(k for k in range(n) if k not in triple):
-        subsets += [(enc | 1 << k, key + 5 ** (n - 4 - j)) for enc, key in subsets]
-    x = []
-    for t in range(8):
-        base = sum(1 << v for b, v in enumerate(triple) if t >> b & 1)
-        x.append({key: c for enc, key in subsets if (c := coords[base | enc])})
-    d0 = _products([(1, x[0], x[6]), (-1, x[2], x[4])])
-    d1 = _products([(1, x[0], x[7]), (1, x[1], x[6]), (-1, x[2], x[5]), (-1, x[3], x[4])])
-    d2 = _products([(1, x[1], x[7]), (-1, x[3], x[5])])
-    return _products([(1, d1, d1), (-4, d0, d2)])
-
-
-def _first_nonzero_entry(z: MinorVector) -> Optional[tuple[int, Scalar]]:
-    """(index, c_e) for the first entry of hd_basis(n) that is nonzero at
-    z, or None when every entry vanishes there; no basis is built.
-
-    Lower in factor k is d/ds_k of u(s) = [[1, s_k], [0, 1]] on hwv_T's
-    variables, so hwv_T(u(s) . z) = sum_e s^e lower^e hwv_T(z) / e! and
-    the entry (T, e) = lower^e hwv_T / kappa has the value e! c_e / kappa
-    at z, c_e the coefficient of s^e in `_slice_form(z, T)`.  Entries
-    come triple by triple in lex order, 5^(n-3) per triple in the order
-    of the keys."""
-    for rank, triple in enumerate(combinations(range(z.n), 3)):
-        form = _slice_form(z, triple)
-        key = min((key for key, c in form.items() if c), default=None)
-        if key is not None:
-            return rank * 5 ** (z.n - 3) + key, form[key]
-    return None
-
-
-def _entry_value(n: int, index: int, coefficient: Scalar) -> Scalar:
-    """e! c_e / kappa: the value at z of the entry with this index, from
-    the coefficient c_e of s^e in `_slice_form(z, T)`."""
-    key = index % 5 ** (n - 3)
-    scale = prod(factorial(key // 5 ** j % 5) for j in range(n - 3))
-    return normalize(Fraction(scale * coefficient) / entry_content(n, index))
-
-
 # -- membership --------------------------------------------------------
 
 def is_member(z: MinorVector, method: str = "basis") -> MembershipReport:
@@ -461,13 +391,10 @@ def is_member(z: MinorVector, method: str = "basis") -> MembershipReport:
     realization gets a SymmetrizableCertificate, a non-member a
     NoConsistentSigns or MinorMismatch).
 
-    method="basis" tests every entry of hd_basis(n) for zero through the
-    coefficients c_e of hwv_T(u(s) . z) (`_first_nonzero_entry`), on the
-    primitive integer multiple (L/g) z.  It builds no basis and evaluates
-    no polynomial: a non-member's BasisViolation names the first nonzero
-    entry in basis order, whose value is e! c_e / kappa, kappa from
-    `entry_content`, scaled by (g/L)^4.  It raises ValueError beyond
-    n = MAX_BASIS_CHECK_FACTORS = 8.
+    method="basis" asks `hyperdet.first_nonzero_entry`, which builds no
+    basis: a non-member's BasisViolation names the first nonzero entry of
+    hd_basis(n) in basis order, with its value.  It raises ValueError
+    beyond n = MAX_BASIS_CHECK_FACTORS = 8.
 
     With method="reconstruct" and z_[0..0] = 0, z is first
     moved into the open chart by J_I: the Weyl element J = [[0, 1],
@@ -490,17 +417,10 @@ def is_member(z: MinorVector, method: str = "basis") -> MembershipReport:
         if n > MAX_BASIS_CHECK_FACTORS:
             raise ValueError(f"the basis check is bounded at n <= {MAX_BASIS_CHECK_FACTORS},"
                              f" got n={excerpt(n)}")
-        # each entry is homogeneous of degree 4: test and take the value on the
-        # primitive integer multiple p = (L/g) z and scale by (g/L)^4
-        common = lcm(*(c.denominator for c in z.coords))
-        ints = [c.numerator * (common // c.denominator) for c in z.coords]
-        g = gcd(*ints)
-        point, scale = MinorVector(n, tuple(c // g for c in ints)), Fraction(g, common) ** 4
-        first = _first_nonzero_entry(point)
+        first = first_nonzero_entry(z)
         if first is None:
             return MembershipReport(n, VERDICT_MEMBER, method)
-        return MembershipReport(n, VERDICT_NON_MEMBER, method, BasisViolation(
-            first[0], normalize(_entry_value(n, *first) * scale)))
+        return MembershipReport(n, VERDICT_NON_MEMBER, method, BasisViolation(*first))
     if method == "reconstruct":
         moves = 0
         if z[0] == 0:

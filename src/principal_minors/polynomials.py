@@ -244,8 +244,7 @@ def evaluate(poly: TensorPolynomial, point: "MinorVector | Sequence[Scalar]") ->
     # A field holds enc + 1, so it indexes the values shifted by one.
     values = (0,) + values
     total: Scalar = 0
-    # Keys are read field by field in place, not unpacked into lists:
-    # this loop is nearly all the cost of a basis membership check.
+    # Keys are read field by field in place, not unpacked into lists.
     for key, coeff in poly._terms.items():
         term = coeff
         while key:

@@ -173,6 +173,12 @@ class IsotypicSummand:
     partitions: tuple[Partition, ...]
     multiplicity: int
 
+    @property
+    def ambiguous(self) -> bool:
+        """Degree + weight underdetermine the embedding when the summand
+        occurs with multiplicity > 1."""
+        return self.multiplicity > 1
+
 
 def decompose_symmetric_power(d: int, n: int) -> list[IsotypicSummand]:
     """All n-tuples of at-most-two-row partitions of d that occur in the
@@ -205,18 +211,7 @@ def sl2_dim(pi: Partition) -> int:
     return pi.parts[0] - second + 1
 
 
-class IsotypicMatch(NamedTuple):
-    partitions: tuple[Partition, ...]
-    multiplicity: int
-
-    @property
-    def ambiguous(self) -> bool:
-        """Degree + weight underdetermine the embedding when the summand
-        occurs with multiplicity > 1."""
-        return self.multiplicity > 1
-
-
-def identify_isotypic(d: int, weight: Weight) -> IsotypicMatch:
+def identify_isotypic(d: int, weight: Weight) -> IsotypicSummand:
     """Per-factor partitions ((d - w_i)/2, (d + w_i)/2) of the isotypic
     component containing a highest weight vector of the given degree and
     weight.  Callers holding a lowest weight must negate it first."""
@@ -234,7 +229,7 @@ def identify_isotypic(d: int, weight: Weight) -> IsotypicMatch:
         first, second = (d - w) // 2, (d + w) // 2
         parts.append(Partition((first,) if second == 0 else (first, second)))
     partitions = tuple(parts)
-    return IsotypicMatch(partitions, invariant_dim(partitions))
+    return IsotypicSummand(partitions, invariant_dim(partitions))
 
 
 def lower_to_lowest(poly: TensorPolynomial) -> tuple[TensorPolynomial, Weight]:

@@ -2,8 +2,7 @@
 
 All algebraic computations run over exact rationals.  Scalars are plain
 Python ints whenever the value is integral and fractions.Fraction
-otherwise; the two interoperate transparently and integer fast paths
-keep the hot evaluation loops cheap.
+otherwise; the two interoperate transparently.
 
 Text has one codec: scalar_str writes reduced "p/q", and scalar_from_str
 reads exactly -?[0-9]+(/[0-9]+)? in ASCII digits, so no decimal,

@@ -3,7 +3,7 @@ from __future__ import annotations
 import hashlib
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, factorial, prod
 
 import pytest
@@ -11,6 +11,7 @@ import pytest
 from principal_minors import (
     MinorVector,
     SymmetricMatrix,
+    TensorPolynomial,
     cayley_hyperdet,
     evaluate,
     hd_basis,
@@ -25,7 +26,7 @@ from principal_minors import hyperdet
 from principal_minors.documents import basis_digest
 from principal_minors.hyperdet import BasisEntry
 from principal_minors.polynomials import unpack_monomial
-from principal_minors.scalars import scalar_str
+from principal_minors.scalars import normalize, scalar_str
 from principal_minors.sampling import random_symmetric_matrix
 
 from conftest import lowering
@@ -33,6 +34,39 @@ from conftest import lowering
 GOLDEN_N4_DIGEST = "sha256:c93bf807aca4926a00eb25a9c46f3e8c26335a70b54852addc28ad0221794825"
 GOLDEN_N5_DIGEST = "sha256:14ee0386e43f4975f44dca40e4a4ef4a127598a236559a592b15e03268dd49d5"
 GOLDEN_N6_CONTENT = "sha256:fc8ad13843417106fdab9906c7d0781650e5c4d039b729419ecd8513d5853b85"
+
+
+# The 12 terms of the 2x2x2 hyperdeterminant: local bit patterns of the
+# four variables in one monomial, and the coefficient.
+CAYLEY_TERMS = (
+    (((0, 0, 0), (0, 0, 0), (1, 1, 1), (1, 1, 1)), 1),
+    (((1, 0, 0), (1, 0, 0), (0, 1, 1), (0, 1, 1)), 1),
+    (((0, 1, 0), (0, 1, 0), (1, 0, 1), (1, 0, 1)), 1),
+    (((0, 0, 1), (0, 0, 1), (1, 1, 0), (1, 1, 0)), 1),
+    (((0, 0, 0), (1, 0, 0), (0, 1, 1), (1, 1, 1)), -2),
+    (((0, 0, 0), (0, 1, 0), (1, 0, 1), (1, 1, 1)), -2),
+    (((0, 0, 0), (0, 0, 1), (1, 1, 0), (1, 1, 1)), -2),
+    (((1, 0, 0), (0, 1, 0), (0, 1, 1), (1, 0, 1)), -2),
+    (((1, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 0)), -2),
+    (((0, 1, 0), (0, 0, 1), (1, 0, 1), (1, 1, 0)), -2),
+    (((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)), 4),
+    (((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)), 4),
+)
+
+
+def _table_encodings(triple, patterns, base=0):
+    t1, t2, t3 = triple
+    return [base | b1 << (t1 - 1) | b2 << (t2 - 1) | b3 << (t3 - 1) for b1, b2, b3 in patterns]
+
+
+def test_cayley_hyperdet_is_the_twelve_term_table():
+    for n in (3, 4, 5):
+        for triple in combinations(range(1, n + 1), 3):
+            for outside in (0, 1):
+                base = sum(1 << (k - 1) for k in range(1, n + 1) if k not in triple) * outside
+                terms = [([(enc, 1) for enc in _table_encodings(triple, patterns, base)], coeff)
+                         for patterns, coeff in CAYLEY_TERMS]
+                assert cayley_hyperdet(n, triple, outside) == TensorPolynomial.from_terms(n, terms)
 
 
 def test_cayley_two_corner_evaluation():
@@ -142,18 +176,69 @@ def test_basis_lowers_one_triple_only(monkeypatch):
 
 
 def test_entry_content_is_the_signed_content_of_one_lowering():
-    # every entry at n <= 5 (two of n = 5's have kappa < 0), 40 seeded
-    # ones at n = 6: lower^e hwv_T = kappa * entry.  Observed, not proved:
-    # |kappa| = e! when every e_k is even, 2 e! otherwise
+    # every entry at n <= 5 (two of n = 5's have sigma < 0), 40 seeded
+    # ones at n = 6: lower^e hwv_T = e! P_e = e! sigma * entry.  Observed,
+    # not proved: |sigma| = 1 when every e_k is even, 2 otherwise
     rng = random.Random(57)
     for n in (3, 4, 5, 6):
         entries = list(enumerate(hd_basis(n)))
         for index, entry in (entries if n < 6 else rng.sample(entries, 40)):
-            kappa = hyperdet.entry_content(n, index)
-            assert lowering(n, entry.triple, entry.exponents) == entry.polynomial * kappa
+            sigma = hyperdet.entry_content(n, index)
             e_factorial = prod(factorial(e) for e in entry.exponents)
-            assert abs(kappa) == e_factorial * (1 if all(e % 2 == 0 for e in entry.exponents)
-                                                else 2), (n, index)
+            assert lowering(n, entry.triple, entry.exponents) == entry.polynomial * (
+                sigma * e_factorial)
+            assert abs(sigma) == (1 if all(e % 2 == 0 for e in entry.exponents) else 2), (n, index)
+
+
+def shift_coefficient(n, triple, exponents):
+    """P_e by direct expansion: the coefficient of s^e in hwv_T(u(s) . X),
+    u(s) = [[1, s_k], [0, 1]] on the factors outside T.  Each variable
+    X_t becomes the sum of s^B X_(t|B) over the sets B of outside
+    factors, so in each term of the table e_k of the four variables take
+    bit k, in C(4, e_k) ways."""
+    outside = [k for k in range(1, n + 1) if k not in triple]
+    terms = []
+    for patterns, coeff in CAYLEY_TERMS:
+        encodings = _table_encodings(triple, patterns)
+        for chosen in product(*(combinations(range(4), e) for e in exponents)):
+            moved = list(encodings)
+            for k, positions in zip(outside, chosen):
+                for v in positions:
+                    moved[v] |= 1 << (k - 1)
+            terms.append(([(enc, 1) for enc in moved], coeff))
+    return TensorPolynomial.from_terms(n, terms)
+
+
+def test_entry_is_the_shift_coefficient_over_its_signed_content():
+    # every entry at n <= 5, 40 seeded ones at n = 6: P_e normalized is
+    # the hd_basis entry, and P_e = sigma * entry
+    rng = random.Random(60)
+    for n in (3, 4, 5, 6):
+        entries = list(enumerate(hd_basis(n)))
+        for index, entry in (entries if n < 6 else rng.sample(entries, 40)):
+            p_e = shift_coefficient(n, entry.triple, entry.exponents)
+            sigma = hyperdet.entry_content(n, index)
+            assert p_e.normalized() == entry.polynomial, (n, index)
+            assert p_e == entry.polynomial * sigma and type(sigma) is int, (n, index)
+
+
+def test_first_nonzero_entry_is_homogeneous_of_degree_4():
+    # (index, value) at lambda z is (index, lambda^4 value), on integer and
+    # rational z and lambda; a member answers None
+    rng = random.Random(62)
+    for n in (3, 4, 5):
+        member = minor_vector(random_symmetric_matrix(n, rng), 1)
+        assert hyperdet.first_nonzero_entry(member) is None
+        for _ in range(6):
+            z = MinorVector.from_values(n, [Fraction(rng.randint(-9, 9), rng.choice((1, 1, 4)))
+                                            for _ in range(1 << n)])
+            if z.is_zero():
+                continue
+            lam = Fraction(rng.choice((-3, 2, 5)), rng.choice((1, 7)))
+            index, value = hyperdet.first_nonzero_entry(z)
+            moved = MinorVector.from_values(n, [lam * c for c in z.coords])
+            assert hyperdet.first_nonzero_entry(moved) == (index, normalize(lam ** 4 * value))
+            assert evaluate(hd_basis(n).entries[index].polynomial, z) == value
 
 
 def test_basis_top_variable_degree_bound():

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from principal_minors import (
     MinorVector,
     SymmetricMatrix,
+    hyperdet,
     is_member,
     membership,
     minor_vector,
@@ -1066,12 +1067,12 @@ def first_nonzero_by_evaluation(z: MinorVector):
 def test_slice_form_is_cayleys_hyperdeterminant_on_three_factors():
     # d1^2 - 4 d0 d2 of the two halves of the 2x2x2 array
     rng = random.Random(54)
-    hyperdet = cayley_hyperdet(3, (1, 2, 3))
+    cayley = cayley_hyperdet(3, (1, 2, 3))
     for _ in range(40):
         x = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(8)]
-        form = membership._slice_form(MinorVector.from_values(3, x), (0, 1, 2))
+        form = hyperdet._slice_form(MinorVector.from_values(3, x), (0, 1, 2))
         assert set(form) <= {0}
-        assert form.get(0, 0) == evaluate(hyperdet, x)
+        assert form.get(0, 0) == evaluate(cayley, x)
 
 
 def test_slice_form_coefficients_vanish_with_the_basis_entries():
@@ -1087,7 +1088,7 @@ def test_slice_form_coefficients_vanish_with_the_basis_entries():
             pool = [pool[0], pool[2], pool[4], pool[8], pool[-1]]
         pool = [primitive(z)[0] for z in pool]
         triples = list(combinations(range(n), 3))
-        forms = [[membership._slice_form(z, triple) for triple in triples] for z in pool]
+        forms = [[hyperdet._slice_form(z, triple) for triple in triples] for z in pool]
         for index, entry in enumerate(hd_basis(n).entries):
             rank = triples.index(tuple(k - 1 for k in entry.triple))
             key = 0
@@ -1105,9 +1106,10 @@ def test_slice_form_coefficients_vanish_with_the_basis_entries():
 
 
 def test_entry_value_is_e_factorial_times_the_coefficient_over_kappa():
-    # entry (T, e) = lower^e hwv_T / kappa, so its value at z is e! c_e /
-    # kappa, in value and type, on integer and rational z alike: every
-    # entry at n <= 5 (two of n = 5's have kappa < 0), 40 seeded at n = 6
+    # entry (T, e) = lower^e hwv_T / kappa = P_e / sigma with kappa = e!
+    # sigma, so its value at z is e! c_e / kappa = c_e / sigma, in value and
+    # type, on integer and rational z alike: every entry at n <= 5 (two of
+    # n = 5's have sigma < 0), 40 seeded at n = 6
     rng = random.Random(58)
     for n in (3, 4, 5, 6):
         points = [MinorVector.from_values(n, [rng.randint(-9, 9) for _ in range(1 << n)]),
@@ -1116,10 +1118,11 @@ def test_entry_value_is_e_factorial_times_the_coefficient_over_kappa():
         triples = list(combinations(range(n), 3))
         entries = list(enumerate(hd_basis(n).entries))
         for z in points:
-            forms = [membership._slice_form(z, triple) for triple in triples]
+            forms = [hyperdet._slice_form(z, triple) for triple in triples]
             for index, entry in (entries if n < 6 else rng.sample(entries, 40)):
                 rank, key = divmod(index, 5 ** (n - 3))
-                got = membership._entry_value(n, index, forms[rank].get(key, 0))
+                coefficient = forms[rank].get(key, 0)
+                got = normalize(Fraction(coefficient) / hyperdet.entry_content(n, index))
                 want = evaluate(entry.polynomial, z)
                 assert got == want and type(got) is type(want), (n, index)
 
