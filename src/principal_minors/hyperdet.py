@@ -25,10 +25,18 @@ coefficients.  The entry is P_e / sigma_e, sigma_e the signed content of
 P_e (`entry_content`), and its value at z is c_e / sigma_e, c_e the
 coefficient of s^e in hwv_T(u(s) . z): `first_nonzero_entry` answers a
 basis membership check with no entry built, at any n.
+
+The prefilter reads the same form at one s of 32-bit shifts: sum_e c_e s^e,
+from the basis check's coefficients (`first_nonzero_slice`).  SL(2)^n keeps
+Z_n, and the outside-0 slice of phi(A, t) is t^(n-3) phi(A_T, t), in Z_3.  The
+form is SL(2)-invariant in T's factors, so one u(s) serves every T; of degree
+at most 4 in each s_k, with the 0/1 slices outside T as corners, it misses a
+non-member the module detects with probability at most 4(n-3)/N, s_k from N values.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -37,7 +45,6 @@ from math import comb, factorial, gcd, lcm
 from typing import Optional
 
 from .indices import MinorVector
-
 from .polynomials import (
     FIELD_BITS,
     FIELD_MASK,
@@ -54,19 +61,23 @@ from .scalars import Scalar, excerpt, normalize
 MAX_BASIS_FACTORS = 6
 
 
-def _cayley(x, products):
+def _cayley(x, products=lambda terms: sum(c * f * g for c, f, g in terms)):
     """Cayley's form on the eight slice values x[t], bit b of t the
     triple's b-th factor: with A0 and A1 the halves of the 2x2x2 array by
     its first factor, det(A0 + y A1) = d0 + d1 y + d2 y^2, and the form is
     the discriminant d1^2 - 4 d0 d2.  products(terms) is the sum of
-    c * f * g over the (c, f, g) in terms, in the ring of the x[t]."""
+    c * f * g over the (c, f, g) in terms, in the ring of the x[t]; ints by default."""
     d0 = products([(1, x[0], x[6]), (-1, x[2], x[4])])
     d1 = products([(1, x[0], x[7]), (1, x[1], x[6]), (-1, x[2], x[5]), (-1, x[3], x[4])])
     d2 = products([(1, x[1], x[7]), (-1, x[3], x[5])])
     return products([(1, d1, d1), (-4, d0, d2)])
 
 
-@lru_cache(maxsize=None)
+def _slice(triple) -> list[int]:
+    """Encodings of the outside-0 slice x[t] of the 0-based triple, bit b of t its b-th."""
+    return [sum(1 << v for b, v in enumerate(triple) if t >> b & 1) for t in range(8)]
+
+
 def cayley_hyperdet(n: int, triple: tuple[int, int, int], outside: int = 0
                     ) -> TensorPolynomial:
     """The 12-term degree-4 hyperdeterminant on the coordinates supported
@@ -74,21 +85,16 @@ def cayley_hyperdet(n: int, triple: tuple[int, int, int], outside: int = 0
 
     Factors outside the triple carry the constant bit `outside`: 0 gives
     the highest weight vector of the triple's summand, 1 its fully
-    lowered lowest weight companion.  The result is immutable and
-    memoized.
+    lowered lowest weight companion.
     """
-    if n < 3:
-        raise ValueError("need at least 3 factors")
     if len(set(triple)) != 3 or any(not 1 <= t <= n for t in triple):
         raise ValueError(f"invalid triple {triple} for n={n}")
     if outside not in (0, 1):
         raise ValueError("outside bit must be 0 or 1")
     factors = [t - 1 for t in sorted(triple)]
     base = ((1 << n) - 1) & ~sum(1 << v for v in factors) if outside else 0
-    x = [TensorPolynomial.variable(n, base | sum(1 << v for b, v in enumerate(factors)
-                                                  if t >> b & 1)) for t in range(8)]
-    zero = TensorPolynomial.zero(n)
-    return _cayley(x, lambda terms: sum((c * f * g for c, f, g in terms), zero))
+    x = [TensorPolynomial.variable(n, base | enc) for enc in _slice(factors)]
+    return _cayley(x, lambda terms: sum((c * f * g for c, f, g in terms), TensorPolynomial.zero(n)))
 
 
 def hd_dimension(n: int) -> int:
@@ -187,32 +193,53 @@ def _slice_form(z: MinorVector, triple: tuple[int, int, int]) -> dict:
     subsets = [(0, 0)]  # (encoding of B, key of s^B)
     for j, k in enumerate(k for k in range(n) if k not in triple):
         subsets += [(enc | 1 << k, key + 5 ** (n - 4 - j)) for enc, key in subsets]
-    x = []
-    for t in range(8):
-        base = sum(1 << v for b, v in enumerate(triple) if t >> b & 1)
-        x.append({key: c for enc, key in subsets if (c := coords[base | enc])})
+    x = [{key: c for enc, key in subsets if (c := coords[base | enc])}
+         for base in _slice(triple)]
     return _cayley(x, _products)
+
+
+def _primitive(z: MinorVector) -> tuple[list[int], Fraction]:
+    """The coordinates of (L/g) z, the primitive integer multiple of the nonzero
+    rational z, and (g/L)^4, which takes a degree-4 form's value there back to z."""
+    common = lcm(*(c.denominator for c in z.coords))
+    ints = [c.numerator * (common // c.denominator) for c in z.coords]
+    g = gcd(*ints)
+    return [c // g for c in ints], Fraction(g, common) ** 4
 
 
 def first_nonzero_entry(z: MinorVector) -> Optional[tuple[int, Scalar]]:
     """(index, value) of the first entry of hd_basis(z.n), in basis order,
-    that is nonzero at the nonzero rational z, or None when every entry
-    vanishes there.  No entry is built, at any n: the value is c_e /
-    sigma_e, c_e read off `_slice_form` one triple at a time.  Every entry
-    has degree 4, so c_e is taken at the primitive integer multiple
-    (L/g) z and the value scaled by (g/L)^4."""
+    nonzero at the nonzero rational z, or None when all vanish there.  No
+    entry is built, at any n: the value is c_e / sigma_e, c_e read off
+    `_slice_form` of the primitive integer point one triple at a time."""
     n = z.n
-    common = lcm(*(c.denominator for c in z.coords))
-    ints = [c.numerator * (common // c.denominator) for c in z.coords]
-    g = gcd(*ints)
-    point = MinorVector(n, tuple(c // g for c in ints))
+    coords, scale = _primitive(z)
+    point = MinorVector(n, tuple(coords))
     for rank, triple in enumerate(combinations(range(n), 3)):
         form = _slice_form(point, triple)
         key = min((key for key, c in form.items() if c), default=None)
         if key is not None:
             index = rank * 5 ** (n - 3) + key
-            return index, normalize(Fraction(form[key] * g ** 4,
-                                             common ** 4 * entry_content(n, index)))
+            return index, normalize(form[key] * scale / entry_content(n, index))
+    return None
+
+
+def first_nonzero_slice(z: MinorVector) -> Optional[tuple[tuple, tuple, Scalar]]:
+    """(T, s, value) for the first triple T, lex and 1-based, whose form
+    hwv_T(u(s) . z) is nonzero at the nonzero rational z, s the n 32-bit
+    shifts from random.Random(n); None when all vanish."""
+    n = z.n
+    s = tuple(map(random.Random(n).getrandbits, [32] * n))
+    x, scale = _primitive(z)
+    for k, s_k in enumerate(s):  # u(s) in place, one factor at a time
+        bit = 1 << k
+        for enc in range(1 << n):
+            if not enc & bit:
+                x[enc] += s_k * x[enc | bit]
+    for triple in combinations(range(n), 3):
+        value = _cayley([x[enc] for enc in _slice(triple)])
+        if value:
+            return tuple(t + 1 for t in triple), s, normalize(value * scale)
     return None
 
 
@@ -223,6 +250,8 @@ def entry_content(n: int, index: int) -> int:
     the one lowering lower^e hwv_T = e! P_e is built, whose signed
     content is e! sigma_e; each result is one int, so the cache holds at
     most hd_dimension(n) of them per n."""
+    if n < 3 or not 0 <= index < hd_dimension(n):
+        raise ValueError(f"no entry {excerpt(index)} in the degree-4 module at n={excerpt(n)}")
     m = n - 3
     rank, key = divmod(index, 5 ** m)
     triple = next(islice(combinations(range(1, n + 1), 3), rank, None))

@@ -14,32 +14,27 @@ Three methods:
               z_[0..0] != 0 (after one chart move, a signed permutation,
               otherwise); each failure raises a ReconstructionError
               carrying the report's certificate.
-  prefilter   one move of G = SL(2)^n x| S_n, u(s) = [[1, s_k], [0, 1]] on
-              every factor with s fixed per n, then C(n,3) hyperdeterminants,
-              one slice per triple (`_witness`).  Rejects only; misses a
-              non-member the module detects with probability at most
-              4(n-3)/N for shifts from N values.  Values have at most about
-              4(n-3)(bits+1) more bits than z's slice values.
+  prefilter   rejects only: `hyperdet.first_nonzero_slice`, Cayley's form on
+              one slice per triple of u(s) . z; hyperdet bounds what it misses.
 """
 
 from __future__ import annotations
 
 import cmath
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import prod
 from typing import Optional
 
-# hd_basis is not called here: perfbench/tracer.py patches this name in
-# membership and requires it bound, so it goes when that patch goes
-from .hyperdet import cayley_hyperdet, first_nonzero_entry, hd_basis  # noqa: F401
+from .hyperdet import first_nonzero_entry, first_nonzero_slice
 from .indices import MinorVector
 from .matrices import SymmetricMatrix, det_exact
 from .minor_map import all_principal_minors, minor_vector
-from .polynomials import GroupElement, act_point, evaluate
 from .scalars import Scalar, excerpt, normalize, scalar_text, sqrt_exact
+# not called here: perfbench/tracer.py patches these names in membership and requires them bound
+from .hyperdet import cayley_hyperdet, hd_basis  # noqa: F401
+from .polynomials import act_point, evaluate  # noqa: F401
 
 VERDICT_MEMBER = "member"
 VERDICT_NON_MEMBER = "non-member"
@@ -356,28 +351,6 @@ def reconstruct(z: MinorVector, mode: str = "exact") -> SymmetricMatrix:
         raise ValueError("numeric mode: an entry does not fit a complex float") from None
 
 
-# -- prefilter ---------------------------------------------------------
-
-def _witness(z: MinorVector) -> Optional[PrefilterViolation]:
-    """The first triple T, in lex order, whose hyperdeterminant does not
-    vanish on the outside-0 slice of u(s) . z, s being 32-bit shifts from
-    random.Random(n).  SL(2)^n keeps Z_n, and that slice of phi(A, t) is
-    t^(n-3) phi(A_T, t), in Z_3.  The value is SL(2)-invariant in T's own
-    factors, so one u(s) serves every T; in s it has degree at most 4 in
-    each s_k, with the 0/1 slices of the factors outside T as corners."""
-    n = z.n
-    rng = random.Random(n)
-    s = tuple(rng.getrandbits(32) for _ in range(n))
-    moved = act_point(GroupElement.from_matrices([((1, s_k), (0, 1)) for s_k in s]), z).coords
-    hyperdet = cayley_hyperdet(3, (1, 2, 3))
-    for i, j, k in combinations(range(n), 3):
-        value = evaluate(hyperdet, [moved[bk << k | bj << j | bi << i]
-                                    for bk, bj, bi in product((0, 1), repeat=3)])
-        if value != 0:
-            return PrefilterViolation((i + 1, j + 1, k + 1), s, value)
-    return None
-
-
 # -- membership --------------------------------------------------------
 
 def is_member(z: MinorVector, method: str = "basis") -> MembershipReport:
@@ -411,16 +384,6 @@ def is_member(z: MinorVector, method: str = "basis") -> MembershipReport:
     if z.is_zero():
         raise ValueError("zero vector")
     n = z.n
-    if n <= 2 and method != "reconstruct":
-        return MembershipReport(n, VERDICT_MEMBER, method)
-    if method == "basis":
-        if n > MAX_BASIS_CHECK_FACTORS:
-            raise ValueError(f"the basis check is bounded at n <= {MAX_BASIS_CHECK_FACTORS},"
-                             f" got n={excerpt(n)}")
-        first = first_nonzero_entry(z)
-        if first is None:
-            return MembershipReport(n, VERDICT_MEMBER, method)
-        return MembershipReport(n, VERDICT_NON_MEMBER, method, BasisViolation(*first))
     if method == "reconstruct":
         moves = 0
         if z[0] == 0:
@@ -434,10 +397,18 @@ def is_member(z: MinorVector, method: str = "basis") -> MembershipReport:
             verdict = VERDICT_MEMBER if isinstance(err, NonSquareEntryError) else VERDICT_NON_MEMBER
             return MembershipReport(n, verdict, method, err.certificate, moves)
         return MembershipReport(n, VERDICT_MEMBER, method, certificate, moves)
-    # method == "prefilter"
-    witness = _witness(z)
-    verdict = VERDICT_INDETERMINATE if witness is None else VERDICT_NON_MEMBER
-    return MembershipReport(n, verdict, method, witness)
+    if n <= 2:
+        return MembershipReport(n, VERDICT_MEMBER, method)
+    if method == "basis":
+        if n > MAX_BASIS_CHECK_FACTORS:
+            raise ValueError(f"the basis check is bounded at n <= {MAX_BASIS_CHECK_FACTORS},"
+                             f" got n={excerpt(n)}")
+        first, violation, passed = first_nonzero_entry(z), BasisViolation, VERDICT_MEMBER
+    else:
+        first, violation, passed = first_nonzero_slice(z), PrefilterViolation, VERDICT_INDETERMINATE
+    if first is None:
+        return MembershipReport(n, passed, method)
+    return MembershipReport(n, VERDICT_NON_MEMBER, method, violation(*first))
 
 
 # -- sign-flip experiment ----------------------------------------------

@@ -347,6 +347,14 @@ def cases() -> dict[str, tuple[list[str], object]]:
     add("check/prefilter/witness-only/n=4", ["check", "--in", INPUT, "--method", "prefilter",
                                              "--out", "report.json"],
         minors_doc([1, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 2]))
+    # rational points: the D.M.D scales hold 1/3 from n = 6 on
+    add("check/prefilter/dmd-member/n=7", ["check", "--in", INPUT, "--method", "prefilter",
+                                           "--out", "report.json"],
+        minors_doc(minor_vectors(7)["dmd-member"]))
+    for n in (6, 7):
+        add(f"check/prefilter/dmd-perturbed-top/n={n}",
+            ["check", "--in", INPUT, "--method", "prefilter", "--out", "report.json"],
+            minors_doc(changed(minor_vectors(n)["dmd-member"], (1 << n) - 1, 1)))
     add("check/reconstruct/chart-move/n=3", ["check", "--in", INPUT, "--method", "reconstruct",
                                              "--out", "report.json"],
         minors_doc([0, 1, 1, 0, 1, 0, 0, 0]))

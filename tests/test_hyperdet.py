@@ -222,6 +222,14 @@ def test_entry_is_the_shift_coefficient_over_its_signed_content():
             assert p_e == entry.polynomial * sigma and type(sigma) is int, (n, index)
 
 
+def test_entry_content_rejects_an_index_outside_the_module():
+    # hd_dimension(5) = 250, and the module is empty below 3 factors
+    for n, index in ((5, 250), (5, -1), (2, 0)):
+        with pytest.raises(ValueError,
+                           match=rf"^no entry {index} in the degree-4 module at n={n}$"):
+            hyperdet.entry_content(n, index)
+
+
 def test_first_nonzero_entry_is_homogeneous_of_degree_4():
     # (index, value) at lambda z is (index, lambda^4 value), on integer and
     # rational z and lambda; a member answers None

@@ -223,7 +223,7 @@ def test_prefilter_rejects_bad_half():
 
 
 def test_prefilter_peak_memory_n9():
-    # the witness holds one moved copy of z, about 40 KB
+    # the prefilter holds one shifted integer copy of z, about 38 KB
     z = minor_vector(random_symmetric_matrix(9, random.Random(36)), 1)
     tracemalloc.start()
     try:
@@ -234,6 +234,9 @@ def test_prefilter_peak_memory_n9():
     assert peak < 256_000
 
 
+HYPERDET_3 = cayley_hyperdet(3, (1, 2, 3))  # built once: cayley_hyperdet is not memoized
+
+
 def reference_prefilter_violation(z: MinorVector):
     """The earlier recursive prefilter: split off one factor at a time,
     skip all-zero halves, and evaluate the hyperdeterminant at n = 3."""
@@ -241,7 +244,7 @@ def reference_prefilter_violation(z: MinorVector):
     if n < 3:
         return None
     if n == 3:
-        value = evaluate(cayley_hyperdet(3, (1, 2, 3)), z)
+        value = evaluate(HYPERDET_3, z)
         return value if value != 0 else None
     for factor in range(1, n + 1):
         for bit_value in (0, 1):
@@ -261,7 +264,8 @@ def reference_prefilter_violation(z: MinorVector):
 
 def check_prefilter_report(z: MinorVector, report) -> None:
     """A witness is checked from z and the report alone: one act_point and
-    the n-factor hyperdeterminant of its triple, outside bits 0."""
+    the n-factor hyperdeterminant of its triple, outside bits 0; the value
+    has the reference's type, int or Fraction."""
     if report.verdict == "indeterminate":
         assert report.certificate is None
         return
@@ -269,13 +273,15 @@ def check_prefilter_report(z: MinorVector, report) -> None:
     witness = report.certificate
     u = GroupElement.from_matrices([((1, s_k), (0, 1)) for s_k in witness.s])
     assert witness.value != 0
-    assert evaluate(cayley_hyperdet(z.n, witness.triple), act_point(u, z)) == witness.value
+    reference = evaluate(cayley_hyperdet(z.n, witness.triple), act_point(u, z))
+    assert reference == witness.value and type(reference) is type(witness.value)
 
 
 def test_prefilter_rejects_whatever_the_slices_reject():
     # the slices are corner coefficients of the witness polynomial, so the
     # witness rejects every vector the recursive reference rejects
     rng = random.Random(44)
+    pick = random.Random(46)  # for the rational probes, so rng's stream is kept
     bad = [1, 1, 1, 0, 1, 0, 0, 1]  # hyperdeterminant value 5
     for n in range(3, 8):
         full = (1 << n) - 1
@@ -295,6 +301,10 @@ def test_prefilter_rejects_whatever_the_slices_reject():
             # the x_n = 0 half is zero, the other half is a perturbed member
             MinorVector.from_values(
                 n, [0] * (1 << (n - 1)) + list(perturb(lower, (full >> 1) - 1).coords)),
+            # rational points: a member over 6, and one over 7 moved off Z_n by 1/3
+            MinorVector.from_values(n, [Fraction(c, 6) for c in z.coords]),
+            perturb(MinorVector.from_values(n, [Fraction(c, 7) for c in z.coords]),
+                    pick.randrange(full + 1), Fraction(1, 3)),
         ]
         for probe in probes:
             if probe.is_zero():
@@ -303,6 +313,49 @@ def test_prefilter_rejects_whatever_the_slices_reject():
             if reference_prefilter_violation(probe) is not None:
                 assert report.verdict == "non-member"
             check_prefilter_report(probe, report)
+
+
+def test_prefilter_value_is_the_slice_form_at_its_shifts():
+    # the prefilter reads at s the form whose coefficients the basis check
+    # reads: on triple T its value is (g/L)^4 sum_e c_e s^e, c_e the
+    # coefficients of _slice_form at the primitive integer point, and its
+    # triple is the first, in lex order, whose form is nonzero at s
+    rng = random.Random(48)
+    types = set()
+    for n in range(4, 8):
+        rng_n = random.Random(n)
+        s = tuple(rng_n.getrandbits(32) for _ in range(n))
+        member = minor_vector(random_symmetric_matrix(n, rng), 1)
+        over_7 = MinorVector.from_values(n, [Fraction(c, 7) for c in member.coords])
+        vectors = [
+            member,
+            perturb(member, (1 << n) - 1),
+            perturb(member, rng.randrange(1, 1 << n), rng.choice((1, -1, 2))),
+            MinorVector.from_values(n, [Fraction(c, 6) for c in member.coords]),
+            perturb(over_7, rng.randrange(1 << n), Fraction(1, 3)),
+            MinorVector.from_values(n, [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                                        for _ in range(1 << n)]),
+        ]
+        for z in vectors:
+            point, scale = primitive(z)
+            first = None
+            for triple in combinations(range(n), 3):
+                outside = [s[k] for k in range(n) if k not in triple]
+                at_s = sum(c * prod(s_k ** (key // 5 ** (n - 4 - j) % 5)
+                                    for j, s_k in enumerate(outside))
+                           for key, c in hyperdet._slice_form(point, triple).items())
+                if at_s:
+                    first = tuple(t + 1 for t in triple), normalize(at_s * scale)
+                    break
+            report = is_member(z, "prefilter")
+            if first is None:
+                assert report.verdict == "indeterminate" and report.certificate is None
+                continue
+            witness = report.certificate
+            assert (witness.triple, witness.s, witness.value) == (first[0], s, first[1])
+            assert type(witness.value) is type(first[1])
+            types.add(type(witness.value))
+    assert types == {int, Fraction}
 
 
 def test_prefilter_finds_what_the_slices_miss():
