@@ -67,9 +67,11 @@ def _int_in(value: Any, what: str, low: int | None = None) -> int:
     return value
 
 
-def _str_in(value: Any, what: str) -> str:
+def _str_in(value: Any, what: str, choices: tuple[str, ...] | None = None) -> str:
     if not isinstance(value, str):
         raise DocumentError(f"{what} must be a string, got {excerpt(value)}")
+    if choices is not None and value not in choices:
+        raise DocumentError(f"{what} must be one of {', '.join(choices)}, got {excerpt(value)}")
     return value
 
 
@@ -302,14 +304,15 @@ CERTIFICATES = {
 }
 _CERTIFICATE_NAMES = {cls: name for name, cls in CERTIFICATES.items()}
 
-# Field annotation -> (writer, reader) for one certificate field.
+# Field annotation -> (writer, reader) for one certificate field; the one
+# str field is NoConsistentSigns.check.
 # membership.py postpones annotations, so Field.type is the annotation's
 # source text.  matrix_document and parse_matrix_document are looked up
 # at call time, so a caller that rebinds them sees every call.
 _FIELD_CODECS: dict[str, tuple[Callable, Callable]] = {
     "int": (int, lambda v: _int_in(v, "certificate integer", 0)),
     "tuple[int, ...]": (list, _ints_in),
-    "str": (str, lambda v: _str_in(v, "certificate string")),
+    "str": (str, lambda v: _str_in(v, "check", ("cycle", "triple"))),
     "Scalar": (scalar_str, _scalar_in),
     "SymmetricMatrix": (lambda m: matrix_document(m), lambda v: parse_matrix_document(v)),
     "tuple[tuple[Scalar, ...], ...]": (lambda rows: [[scalar_str(v) for v in row] for row in rows],
@@ -362,8 +365,8 @@ def parse_report_document(obj: dict) -> MembershipReport:
         raise DocumentError("experiment reports are not membership reports")
     return MembershipReport(
         n=_int_in(obj.get("n"), "n", 1),
-        verdict=_str_in(obj.get("verdict"), "verdict"),
-        method=_str_in(obj.get("method"), "method"),
+        verdict=_str_in(obj.get("verdict"), "verdict", ("member", "non-member", "indeterminate")),
+        method=_str_in(obj.get("method"), "method", ("basis", "reconstruct", "prefilter")),
         certificate=_parse_certificate(obj.get("certificate")),
         chart_moves=_int_in(obj.get("chart_moves", 0), "chart_moves", 0),
     )

@@ -7,13 +7,13 @@ discriminant d1^2 - 4 d0 d2 of det(A0 + y A1) (`_cayley`).  Lowering
 hwv_T through the complementary factors over the exponent box
 {0..4}^(n-3) yields a weight basis of its irreducible summand; the union
 over all triples is a basis of the whole module, of dimension C(n,3) *
-5^(n-3).  Only the (1,2,3) summand is lowered: a factor permutation
-moves it to every other triple's.  The basis is built for n <=
-MAX_BASIS_FACTORS only: at n = 7 each of the 35 triples gives about
-600,000 terms, so the whole basis would hold 21 million terms, about
-1.4 GB, although it would take only about 30 s (2.3 s to lower (1,2,3),
-0.8 s to move it to each other triple, on a 2-core x86 VM with Python
-3.11).
+5^(n-3).  Only the (1,2,3) summand is lowered: the group action `act`,
+with a factor permutation, moves it to every other triple's.  The basis
+is built for n <= MAX_BASIS_FACTORS only: at n = 7 each of the 35
+triples gives about 600,000 terms, so the whole basis would hold 21
+million terms, about 1.4 GB, although it would take only about 25 s
+(2.4 s to lower (1,2,3), 0.65 s to move it to each other triple, on a
+2-core x86 VM with Python 3.11).
 
 This module alone knows what an entry is.  The entry (T, e) has index
 rank(T) * 5^(n-3) + key, T the lex rank(T)-th triple and key the
@@ -45,16 +45,7 @@ from math import comb, factorial, gcd, lcm
 from typing import Optional
 
 from .indices import MinorVector
-from .polynomials import (
-    FIELD_BITS,
-    FIELD_MASK,
-    REPEAT,
-    TensorPolynomial,
-    Weight,
-    _invert_permutation,
-    _permute_encoding,
-    lower,
-)
+from .polynomials import GroupElement, TensorPolynomial, Weight, act, lower
 from .rep_theory import weight_basis
 from .scalars import Scalar, excerpt, normalize
 
@@ -138,36 +129,21 @@ def hd_basis(n: int) -> ModuleBasis:
     # Only the (1,2,3) summand is lowered.  The factor permutation sending
     # 1, 2, 3 to T and 4..n in order to T's complement maps the (1,2,3)
     # hyperdeterminant to T's and lowering in factor 3 + j to lowering in
-    # T's j-th complementary factor, so it maps each (1,2,3) entry to the
-    # T entry with the same exponents.  It keeps the integer content;
-    # only the sign of the leading term, the largest key, can change.
-    # Every term has degree 4, so its key has four fields; a moved and
-    # sorted field equal to the one above it gets the REPEAT bit.
-    lowered = []
-    for vector in weight_basis(cayley_hyperdet(n, (1, 2, 3))):
-        terms = vector.polynomial._terms
-        fields = [(k >> 3 * FIELD_BITS, k >> 2 * FIELD_BITS & FIELD_MASK,
-                   k >> FIELD_BITS & FIELD_MASK, k & FIELD_MASK) for k in terms]
-        coeffs = list(terms.values())
-        lowered.append((vector.exponents[3:], fields, coeffs, [-c for c in coeffs]))
+    # T's j-th complementary factor, so `act` maps each (1,2,3) entry to the
+    # T entry with the same exponents, up to the sign that normalized() fixes.
+    lowered = weight_basis(cayley_hyperdet(n, (1, 2, 3)))
     entries: list[BasisEntry] = []
     for triple in combinations(range(1, n + 1), 3):
         complementary = [k for k in range(1, n + 1) if k not in triple]
         # factor i moves to permutation[i], 0-based, as in GroupElement
-        permutation = [k - 1 for k in triple + tuple(complementary)]
-        inverse = _invert_permutation(permutation)
-        table = [0] + [_permute_encoding(enc, inverse) + 1 for enc in range(1 << n)]
-        for exps, fields, coeffs, negated in lowered:
-            images = [sorted((table[a], table[b], table[c], table[d])) for a, b, c, d in fields]
-            keys = [a << 3 * FIELD_BITS | (b | REPEAT if b == a else b) << 2 * FIELD_BITS
-                    | (c | REPEAT if c == b else c) << FIELD_BITS | (d | REPEAT if d == c else d)
-                    for a, b, c, d in images]
-            signed = negated if coeffs[keys.index(max(keys))] < 0 else coeffs
-            polynomial = TensorPolynomial(n, dict(zip(keys, signed)))
+        move = GroupElement.from_permutation(n, [k - 1 for k in triple + tuple(complementary)])
+        for vector in lowered:
+            exps = vector.exponents[3:]
             weight = [0] * n
             for k, e in zip(complementary, exps):
                 weight[k - 1] = -4 + 2 * e
-            entries.append(BasisEntry(triple, exps, polynomial, tuple(weight)))
+            entries.append(BasisEntry(triple, exps, act(move, vector.polynomial).normalized(),
+                                      tuple(weight)))
     return ModuleBasis(n, tuple(entries))
 
 
@@ -262,6 +238,4 @@ def entry_content(n: int, index: int) -> int:
         scale *= factorial(e)
         for _ in range(e):
             poly = lower(poly, k)
-    terms = poly._terms
-    content = gcd(*terms.values()) // scale
-    return -content if terms[max(terms)] < 0 else content
+    return poly.content() // scale

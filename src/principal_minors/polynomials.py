@@ -17,7 +17,10 @@ is the field count.  Integer order on keys is graded-lex order (the
 degree, then the (encoding, exponent) pairs by ascending encoding):
 more fields make a larger int, and a repeat field beats one that opens
 a new encoding, as a larger exponent does.  n is at most MAX_FACTORS =
-14, so enc + 1 fits below REPEAT; exponents are unbounded.
+14, so enc + 1 fits below REPEAT; exponents are unbounded.  The layout
+is read and written only in this module: by pack_monomial and
+unpack_monomial, and in place by terms(), evaluate and the factor
+relabel of act, the one S_n move on polynomials.
 """
 
 from __future__ import annotations
@@ -218,17 +221,26 @@ class TensorPolynomial:
 
     # -- normalization -----------------------------------------------
 
-    def normalized(self) -> "TensorPolynomial":
-        """Rescale to integer content 1 with positive graded-lex leading
-        coefficient, in integers: every c * denom is an integer multiple
-        of the content."""
+    def content(self) -> Scalar:
+        """The signed content: the positive rational c with coprime integer
+        coefficients in self / c, signed as the graded-lex leading
+        coefficient; 1 for the zero polynomial."""
         if self.is_zero():
+            return 1
+        coeffs = self._terms.values()
+        denom = lcm(*(c.denominator for c in coeffs))
+        content = gcd(*coeffs) if denom == 1 else Fraction(
+            gcd(*(c.numerator * (denom // c.denominator) for c in coeffs)), denom)
+        return -content if self._terms[max(self._terms)] < 0 else content
+
+    def normalized(self) -> "TensorPolynomial":
+        """self / content(): integer content 1 and a positive graded-lex
+        leading coefficient, computed in integers."""
+        content = self.content()
+        if content == 1:
             return self
-        denom = lcm(*(c.denominator for c in self._terms.values()))
-        content = gcd(*(c.numerator * (denom // c.denominator) for c in self._terms.values()))
-        if self._terms[max(self._terms)] < 0:
-            content = -content
-        return TensorPolynomial(self.n, {k: c * denom // content for k, c in self._terms.items()})
+        num, den = content.numerator, content.denominator
+        return TensorPolynomial(self.n, {k: c * den // num for k, c in self._terms.items()})
 
 
 def evaluate(poly: TensorPolynomial, point: "MinorVector | Sequence[Scalar]") -> Scalar:
@@ -310,6 +322,7 @@ def is_highest_weight(poly: TensorPolynomial) -> bool:
 # -- group action ----------------------------------------------------
 
 Matrix2 = tuple[tuple[Scalar, Scalar], tuple[Scalar, Scalar]]
+_EYE: Matrix2 = ((1, 0), (0, 1))
 
 
 def _det2(m: Matrix2) -> Scalar:
@@ -348,8 +361,7 @@ class GroupElement:
 
     @classmethod
     def identity(cls, n: int) -> "GroupElement":
-        eye: Matrix2 = ((1, 0), (0, 1))
-        return cls(n, (eye,) * n, tuple(range(n)))
+        return cls(n, (_EYE,) * n, tuple(range(n)))
 
     @classmethod
     def from_matrices(cls, matrices: Sequence[Matrix2]) -> "GroupElement":
@@ -359,24 +371,16 @@ class GroupElement:
 
     @classmethod
     def from_permutation(cls, n: int, permutation: Sequence[int]) -> "GroupElement":
-        eye: Matrix2 = ((1, 0), (0, 1))
-        return cls(n, (eye,) * n, tuple(permutation))
+        return cls(n, (_EYE,) * n, tuple(permutation))
 
 
-def _permute_encoding(enc: int, perm: Sequence[int]) -> int:
-    # Bit p of the result is bit perm[p] of enc.
-    out = 0
-    for p, image in enumerate(perm):
-        if (enc >> image) & 1:
-            out |= 1 << p
-    return out
-
-
-def _invert_permutation(perm: Sequence[int]) -> tuple[int, ...]:
-    inv = [0] * len(perm)
-    for i, image in enumerate(perm):
-        inv[image] = i
-    return tuple(inv)
+def _moves(permutation: Sequence[int]) -> list[int]:
+    """moves[enc] is enc with bit k moved to bit permutation[k], built by
+    doubling: each step appends the table so far with the next image bit set."""
+    moves = [0]
+    for image in permutation:
+        moves += [enc | 1 << image for enc in moves]
+    return moves
 
 
 def act_point(g: GroupElement, z: MinorVector) -> MinorVector:
@@ -395,7 +399,8 @@ def act_point(g: GroupElement, z: MinorVector) -> MinorVector:
             coords[enc] = m[0][0] * lo + m[0][1] * hi
             coords[enc | bit] = m[1][0] * lo + m[1][1] * hi
     if g.permutation != tuple(range(z.n)):
-        coords = [coords[_permute_encoding(enc, g.permutation)] for enc in range(size)]
+        moved = dict(zip(_moves(g.permutation), coords))  # coordinate enc goes to moves[enc]
+        coords = [moved[enc] for enc in range(size)]
     return MinorVector(z.n, tuple(normalize(c) if type(c) is Fraction else c
                                   for c in coords))
 
@@ -436,16 +441,30 @@ def apply_factor_matrix(poly: TensorPolynomial, factor: int, m: Matrix2) -> Tens
 
 def act(g: GroupElement, poly: TensorPolynomial) -> TensorPolynomial:
     """Dual action on polynomials: evaluate(act(g,p), act_point(g,z)) ==
-    evaluate(p, z) for every p and z."""
+    evaluate(p, z) for every p and z.  Identity factor matrices are
+    skipped, and the permutation is one relabel of the keys."""
     if g.n != poly.n:
         raise ValueError(f"group element has n={g.n}, polynomial has n={poly.n}")
     out = poly
-    for k in range(1, g.n + 1):
-        out = apply_factor_matrix(out, k, _inv2(g.factor_matrices[k - 1]))
+    for k, m in enumerate(g.factor_matrices, 1):
+        if m != _EYE:
+            out = apply_factor_matrix(out, k, _inv2(m))
     if g.permutation != tuple(range(g.n)):
-        inv = _invert_permutation(g.permutation)
-        out = _substitute(out, g.n, [((_permute_encoding(enc, inv), 1),)
-                                     for enc in range(1 << g.n)])
+        # X^enc -> X^moves[enc]: each key's fields are mapped, sorted and repacked
+        table = [0] + [enc + 1 for enc in _moves(g.permutation)]
+        terms: dict[int, Scalar] = {}
+        for key, coeff in out._terms.items():
+            fields = []
+            while key:
+                fields.append(table[key & FIELD_MASK])
+                key >>= FIELD_BITS
+            fields.sort()
+            key = previous = 0
+            for field in fields:
+                key = key << FIELD_BITS | (field | REPEAT if field == previous else field)
+                previous = field
+            terms[key] = coeff
+        out = TensorPolynomial(g.n, terms)
     return out
 
 

@@ -263,6 +263,34 @@ def test_parse_report_rejects_experiment_documents():
         parse_report_document(doc)
 
 
+def test_parse_report_rejects_values_outside_their_sets():
+    from principal_minors.documents import parse_report_document
+
+    report = {"kind": "report", "schema_version": 1, "n": 3, "verdict": "member",
+              "method": "basis", "chart_moves": 0, "certificate": None}
+    assert parse_report_document(report).exit_code == 0
+    for field, bad, choices in (("verdict", "bogus", "member, non-member, indeterminate"),
+                                ("method", "nope", "basis, reconstruct, prefilter"),
+                                ("verdict", "Member", "member, non-member, indeterminate")):
+        with pytest.raises(DocumentError, match=f"^{field} must be one of {choices},"
+                                                f" got '{bad}'$"):
+            parse_report_document(dict(report, **{field: bad}))
+    with pytest.raises(DocumentError, match=r"^verdict must be one of .*\(100000 characters\)$"):
+        parse_report_document(dict(report, verdict="x" * 100_000))
+    for check in ("cycle", "triple"):
+        certificate = {"type": "no-consistent-signs", "check": check, "encoding": 7,
+                       "expected": "1/1", "actual": "2/1"}
+        parsed = parse_report_document(dict(report, verdict="non-member", method="reconstruct",
+                                            certificate=certificate))
+        assert parsed.certificate == NoConsistentSigns(check, 7, 1, 2)
+        for bad, tail in (("chord", "'chord'"),
+                          ("x" * 100_000, r"'x+\.\.\. \(100000 characters\)")):
+            with pytest.raises(DocumentError, match="^bad certificate payload: check must be"
+                                                    f" one of cycle, triple, got {tail}$"):
+                parse_report_document(dict(report, verdict="non-member", method="reconstruct",
+                                           certificate=dict(certificate, check=bad)))
+
+
 def test_serialization_is_deterministic():
     basis = hd_basis(4)
     assert dumps(basis_document(basis)) == dumps(basis_document(basis))

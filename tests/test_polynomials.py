@@ -29,6 +29,7 @@ from principal_minors import (
 )
 from principal_minors.polynomials import (
     MAX_FACTORS,
+    _substitute,
     apply_factor_matrix,
     pack_monomial,
     unpack_monomial,
@@ -173,6 +174,25 @@ def test_normalized_sign_follows_the_graded_lex_leading_term():
             assert gcd(*(int(c) for c in q.values())) == 1
 
 
+def test_content_is_the_signed_content_that_normalized_divides_by():
+    rng = random.Random(62)
+    for n in range(1, 7):
+        for _ in range(40):
+            poly = random_rational_poly(n, rng)
+            content = poly.content()
+            q = poly.normalized()
+            assert q * content == poly
+            lead = max(poly._terms, key=grlex_key)
+            assert (content > 0) == (poly._terms[lead] > 0)
+            assert q.content() == 1 and q.normalized() is q
+            assert type(content) is (int if all(type(c) is int for c in poly._terms.values())
+                                     else Fraction)
+    zero = TensorPolynomial.zero(3)
+    assert zero.content() == 1 and zero.normalized() is zero
+    assert (-6 * X(2, 1) + 4 * X(2, 3) ** 2).content() == 2
+    assert (Fraction(3, 4) * X(2, 0) - Fraction(9, 2) * X(2, 1) ** 2).content() == Fraction(-3, 4)
+
+
 def test_exponents_are_unbounded_but_positive():
     assert list((X(1, 0) ** 32).terms()) == [(((0, 32),), 1)]
     assert (X(1, 0) ** 32).degree() == 32
@@ -281,24 +301,99 @@ def test_hyperdet_invariance_under_special_group():
         assert act(g, hd) == hd
 
 
+def random_invertible_matrix(rng):
+    while True:
+        m = ((rng.randint(-3, 3), rng.randint(-3, 3)), (rng.randint(-3, 3), rng.randint(-3, 3)))
+        if m[0][0] * m[1][1] - m[0][1] * m[1][0] != 0:
+            return m
+
+
 def test_duality_with_general_invertible_elements():
     rng = random.Random(14)
     for n in (2, 3, 4):
         for _ in range(4):
-            mats = []
-            for _ in range(n):
-                while True:
-                    m = ((rng.randint(-3, 3), rng.randint(-3, 3)),
-                         (rng.randint(-3, 3), rng.randint(-3, 3)))
-                    if m[0][0] * m[1][1] - m[0][1] * m[1][0] != 0:
-                        break
-                mats.append(m)
-            perm = list(range(n))
-            rng.shuffle(perm)
-            g = GroupElement(n, tuple(mats), tuple(perm))
+            mats = [random_invertible_matrix(rng) for _ in range(n)]
+            g = GroupElement(n, tuple(mats), tuple(random_permutation(n, rng)))
             p = random_poly(n, 3, rng, terms=4)
             z = random_vector(n, rng)
             assert evaluate(act(g, p), act_point(g, z)) == evaluate(p, z)
+
+
+def random_rational_poly(n, rng):
+    """A non-homogeneous polynomial of degree 1..6 with rational
+    coefficients, its encodings drawn from a small pool so that keys
+    carry REPEAT fields."""
+    pool = [rng.randrange(1 << n) for _ in range(3)] + [(1 << n) - 1]
+    return TensorPolynomial.from_terms(n, [
+        ([(rng.choice(pool), 1) for _ in range(rng.randint(1, 6))],
+         Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6)))
+        for _ in range(rng.randint(1, 10))])
+
+
+def random_permutation(n, rng):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return perm
+
+
+def permute_by_substitution(poly, perm):
+    """Reference for the permutation part of act: substitute X^enc ->
+    X^E, one single-term form per variable, where bit p of E is bit
+    inverse[p] of enc."""
+    n = poly.n
+    inverse = [perm.index(p) for p in range(n)]
+    forms = [((sum(1 << p for p in range(n) if enc >> inverse[p] & 1), 1),)
+             for enc in range(1 << n)]
+    return _substitute(poly, n, forms)
+
+
+def test_act_permutes_factors_as_the_substitution_does():
+    rng = random.Random(31)
+    repeats = moved = 0
+    for n in range(1, 7):
+        for _ in range(25):
+            poly = random_rational_poly(n, rng)
+            perm = random_permutation(n, rng)
+            image = act(GroupElement.from_permutation(n, perm), poly)
+            assert image == permute_by_substitution(poly, perm)
+            assert act(GroupElement.identity(n), poly) == poly
+            repeats += any(count > 1 for pairs, _ in poly.terms() for _, count in pairs)
+            moved += image != poly
+    assert repeats > 100 and moved > 80
+
+
+def test_act_with_matrices_then_permutation_matches_the_substitutions():
+    # identity matrices on all but at most two factors, so degree 6
+    # terms expand in at most two factors
+    rng = random.Random(32)
+    for n in range(1, 7):
+        for _ in range(6):
+            poly = random_rational_poly(n, rng)
+            perm = random_permutation(n, rng)
+            mats = [((1, 0), (0, 1))] * n
+            for k in rng.sample(range(n), min(n, 2)):
+                mats[k] = random_invertible_matrix(rng)
+            expected = poly
+            for k, ((a, b), (c, d)) in enumerate(mats, 1):
+                det = a * d - b * c
+                inverse = ((Fraction(d, det), Fraction(-b, det)),
+                           (Fraction(-c, det), Fraction(a, det)))
+                expected = apply_factor_matrix(expected, k, inverse)
+            g = GroupElement(n, tuple(mats), tuple(perm))
+            assert act(g, poly) == permute_by_substitution(expected, perm)
+
+
+def test_act_point_permutes_coordinates():
+    rng = random.Random(33)
+    for n in range(1, 7):
+        for _ in range(10):
+            perm = random_permutation(n, rng)
+            z = MinorVector.from_values(n, [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                                            for _ in range(1 << n)])
+            moved = act_point(GroupElement.from_permutation(n, perm), z)
+            for enc in range(1 << n):
+                source = sum(1 << p for p in range(n) if enc >> perm[p] & 1)
+                assert moved[enc] == z[source]
 
 
 def test_singular_factor_matrix_rejected():
