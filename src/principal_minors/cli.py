@@ -51,8 +51,12 @@ def _read_document(path: str) -> dict:
 
 
 def _write_document(path: str, obj: dict):
+    _write_text(path, documents.dumps(obj))
+
+
+def _write_text(path: str, text: str):
     try:
-        Path(path).write_text(documents.dumps(obj))
+        Path(path).write_text(text)
     except OSError as err:
         raise DocumentError(f"cannot write {path}: {err}") from err
 
@@ -109,10 +113,10 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_hd_basis(args) -> int:
     basis = hd_basis(args.n)
-    doc = documents.basis_document(basis)
-    _write_document(args.out, doc)
+    text, digest = documents.basis_text(basis)
+    _write_text(args.out, text)
     print(f"n={args.n} dimension={len(basis)} (C(n,3)*5^(n-3)={hd_dimension(args.n)})")
-    print(f"digest={doc['digest']}")
+    print(f"digest={digest}")
     return EXIT_MEMBER
 
 

@@ -51,8 +51,9 @@ from .scalars import MAX_DIGITS, Scalar, as_scalar, excerpt, scalar_from_str, sc
 SCHEMA_VERSION = 1
 MINOR_ORDER = "lsb-factor-1"
 MAX_DOCUMENT_DEGREE = 12
-# integral "p/1" text in scalars.scalar_from_str's grammar and digit bound
-_INTEGRAL_TEXT = re.compile(f"-?[0-9]{{1,{MAX_DIGITS}}}/1")
+# integral "p/1" texts, each followed by a comma, in
+# scalars.scalar_from_str's grammar and digit bound
+_INTEGRAL_LIST = re.compile(f"(?:-?[0-9]{{1,{MAX_DIGITS}}}/1,)*")
 
 
 class DocumentError(ValueError):
@@ -93,11 +94,31 @@ def _scalar_in(value: Any) -> Scalar:
 def _rows_in(rows: Any) -> tuple[tuple[Scalar, ...], ...]:
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise DocumentError(f"expected a list of rows, got {excerpt(rows)}")
-    return tuple(tuple(_scalar_in(v) for v in row) for row in rows)
+    return tuple(map(_coords_in, rows))
+
+
+def _coords_in(values: list) -> tuple[Scalar, ...]:
+    """_scalar_in on each value, read in bulk when every one is "p/1"
+    text within the digit bound: one match of the joined text and one
+    JSON array of the numerators."""
+    try:
+        text = ",".join(values) + ","
+        if _INTEGRAL_LIST.fullmatch(text):
+            ints = json.loads(f"[{text.replace('/1,', ',')[:-1]}]")
+            # a value holding a comma of its own would read as two
+            if len(ints) == len(values):
+                return tuple(ints)
+    except (TypeError, ValueError):
+        pass  # a value that is not text; a leading zero; past the int-to-str limit
+    return tuple(_scalar_in(v) for v in values)
+
+
+def _canonical(obj: Any) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def dumps(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return _canonical(obj) + "\n"
 
 
 def loads(text: str) -> dict:
@@ -182,17 +203,6 @@ def parse_minors_document(obj: dict) -> MinorVector:
     return MinorVector(n, _coords_in(coords))
 
 
-def _coords_in(coords: list) -> tuple[Scalar, ...]:
-    """_scalar_in on each coordinate, read with `int` alone when every
-    one is "p/1" text within the digit bound."""
-    try:
-        if all(map(_INTEGRAL_TEXT.fullmatch, coords)):
-            return tuple(int(c[:-2]) for c in coords)
-    except (TypeError, ValueError):
-        pass  # a JSON integer or other value; or past the int-to-str limit
-    return tuple(_scalar_in(c) for c in coords)
-
-
 # -- polynomial --------------------------------------------------------
 
 def polynomial_document(poly: TensorPolynomial) -> dict:
@@ -244,13 +254,15 @@ def _basis_entries_payload(basis: ModuleBasis) -> list[dict]:
     ]
 
 
-def _digest(n: int, entries: list[dict]) -> str:
-    payload = dumps({"n": n, "entries": entries})
+def _digest(n: int, entries_text: str) -> str:
+    """The hash of dumps({"n": n, "entries": entries}), spliced from the
+    entries' text."""
+    payload = f'{{"entries":{entries_text},"n":{n}}}\n'
     return "sha256:" + hashlib.sha256(payload.encode()).hexdigest()
 
 
 def basis_digest(basis: ModuleBasis) -> str:
-    return _digest(basis.n, _basis_entries_payload(basis))
+    return _digest(basis.n, _canonical(_basis_entries_payload(basis)))
 
 
 def basis_document(basis: ModuleBasis) -> dict:
@@ -260,9 +272,21 @@ def basis_document(basis: ModuleBasis) -> dict:
         "schema_version": SCHEMA_VERSION,
         "n": basis.n,
         "dimension": len(basis),
-        "digest": _digest(basis.n, entries),
+        "digest": _digest(basis.n, _canonical(entries)),
         "entries": entries,
     }
+
+
+def basis_text(basis: ModuleBasis) -> tuple[str, str]:
+    """dumps(basis_document(basis)) and the digest, with the entries
+    serialized once and spliced into both the hashed payload and the
+    document."""
+    entries = _canonical(_basis_entries_payload(basis))
+    digest = _digest(basis.n, entries)
+    # sorted keys: digest, dimension, entries, kind, n, schema_version
+    head = _canonical({"digest": digest, "dimension": len(basis)})[:-1]
+    tail = _canonical({"kind": "basis", "n": basis.n, "schema_version": SCHEMA_VERSION})[1:]
+    return f'{head},"entries":{entries},{tail}\n', digest
 
 
 def parse_basis_document(obj: dict) -> ModuleBasis:

@@ -276,9 +276,10 @@ def _rows(diag: list, steps: list, down: dict, up: Optional[dict] = None) -> lis
 
 
 def _verify(rows: list[list], z: MinorVector) -> None:
-    """Every C(n,3) triple first, then all 2^n minors through the lazy
-    kernel, which stops at the first mismatch.  A minor m of rows matches
-    when m * z_[0..0] = z_I; certificates carry w_I = z_I / z_[0..0]."""
+    """Every C(n,3) triple first, then all 2^n minors through the kernel,
+    lazy per block, so it stops with the block of the first mismatch.  A
+    minor m of rows matches when m * z_[0..0] = z_I; certificates carry
+    w_I = z_I / z_[0..0]."""
     n, coords = len(rows), z.coords
     z0 = coords[0]
     for ijk in combinations(range(n), 3):

@@ -3,14 +3,18 @@
 phi sends [A, t] to the vector with coordinate t^(n-|I|) * det(A_I) at
 the binary index I, where A_I keeps row/column k exactly when i_k = 1
 and the empty minor is 1.  Every all-minors computation goes through
-the one kernel `all_principal_minors`, which takes each minor by the
-first of three rules that applies to the subset's induced graph of
-nonzero off-diagonal entries: a leaf (an expansion along the leaf's
-row), a disconnected graph (a product over components), and otherwise
-Sylvester's bordered identity along the chain of subsets that drops the
-lowest vertex, on rows scaled once to integers (`_Chain`).  So a forest
-takes no determinant, and `det_exact` is taken only where that chain
-meets a zero pivot.  `minor_vector` is bounded at n <= MAX_MINOR_FACTORS.
+the one kernel `all_principal_minors`, which takes the minors one block
+per top vertex h.  When h has at most one neighbour below it, h is a
+leaf of every subset in its block, and the block's 2^h minors are one
+expansion along row h over the minors so far.  Otherwise each minor of
+the block comes by the first of three rules that applies to the
+subset's induced graph of nonzero off-diagonal entries: a leaf (an
+expansion along the leaf's row), a disconnected graph (a product over
+components), and otherwise Sylvester's bordered identity along the
+chain of subsets that drops the lowest vertex, on rows scaled once to
+integers (`_Chain`).  So a forest takes no determinant, and `det_exact`
+is taken only where that chain meets a zero pivot.  `minor_vector` is
+bounded at n <= MAX_MINOR_FACTORS.
 """
 
 from __future__ import annotations
@@ -26,7 +30,9 @@ from .scalars import Scalar, as_scalar, normalize
 # At n = 14 the kernel takes 0.04 s on a dense integer matrix, 0.06-0.07 s
 # on a dense rational one with denominators 1..9 and 0.05 s on a dense one
 # with a zero diagonal (0.43-0.90 s with one determinant per subset); a
-# tree plus 0..3 extra edges takes 0.008 s.  Dense n = 15 and 16 take 0.07
+# tree plus 0..3 extra edges takes 0.002-0.009 s, as the blocks of every
+# vertex with at most one lower neighbour are taken whole (0.008-0.011 s
+# subset by subset).  Dense n = 15 and 16 take 0.07
 # and 0.15-0.17 s (integer), 0.14 and 0.29-0.32 s (rational), and are still
 # rejected: the bound is raised only with the golden case that pins it
 # (2-core x86 VM, Python 3.11).
@@ -48,45 +54,68 @@ def _principal_submatrix(rows: Sequence[Sequence], enc: int) -> list[list]:
 def all_principal_minors(rows: Sequence[Sequence]) -> Iterator[Scalar]:
     """All 2^n principal minors of exact rows in encoding order; rows need
     not be symmetric.  Let G have an edge {i, j} when rows[i][j] or
-    rows[j][i] is nonzero.  Each minor comes from minors of lower encoding,
-    which the kernel keeps (2^n values), by the first rule that applies:
-    - G[S] has a vertex l with at most one neighbour q in S: expanding
-      along row l,
-      det(A_S) = a_ll * det(A_(S-l)) - a_lq * a_ql * det(A_(S-l-q)),
-      without the second term when l has no neighbour;
+    rows[j][i] is nonzero.  The minors come in blocks, one per top vertex
+    h: block h holds the 2^h subsets S = R + h with R < 2^h, and each of
+    its minors comes from minors of lower encoding, which the kernel keeps
+    (2^n values).
+    - h has at most one neighbour q below it: h is a leaf of every S in
+      the block, and expanding along row h,
+      det(A_S) = a_hh * det(A_R) - a_hq * a_qh * det(A_(R-q)),
+      without the second term when q is not in R; the whole block is one
+      comprehension over the minors so far.
+    Otherwise each minor comes by the first rule that applies:
+    - G[S] has a vertex l with at most one neighbour q in S: the same
+      expansion along row l, for the lowest such l;
     - G[S] is disconnected, and C is the component of S's lowest vertex:
       A_S is block diagonal up to a permutation, so
       det(A_S) = det(A_C) * det(A_(S-C));
     - otherwise, with j = min(S) and R = S - j, det(A_S) = B_R[j][j] from
       the bordered chain (`_Chain`), on rows scaled once to integers.
-    So a forest takes no determinant, and `det_exact` is taken only where
-    the chain meets a zero pivot.  Lazy: a caller that stops at the first
-    mismatch takes no more."""
+    So a forest takes no determinant, one whose every vertex has at most
+    one lower neighbour visits no subset alone, and `det_exact` is taken
+    only where the chain meets a zero pivot.  Lazy per block: a caller
+    that stops at the first mismatch takes no later block."""
     n = len(rows)
     adjacent = [sum(1 << j for j in range(n) if j != i and (rows[i][j] != 0 or rows[j][i] != 0))
                 for i in range(n)]
+    # products of ints are ints; a Fraction entry, even Fraction(0, 5),
+    # makes products that normalize must bring back to int
+    integral = all(type(v) is int for row in rows for v in row)
     # deg_S(l) >= deg_G(l) - (n - |S|), so no S larger than this has a leaf;
     # on a dense matrix only sizes 1 and 2 are scanned
     leaf_sizes = n + 1 - min(map(int.bit_count, adjacent), default=0)
-    chain = _Chain(rows)
+    chain = None
     values = [1]
     yield 1
-    for enc in range(1, 1 << n):
-        leaf = _leaf(adjacent, enc) if enc.bit_count() <= leaf_sizes else -1
-        if leaf >= 0:
-            rest = enc ^ (1 << leaf)
-            value = rows[leaf][leaf] * values[rest]
-            neighbour = adjacent[leaf] & rest
-            if neighbour:
-                q = neighbour.bit_length() - 1
-                value -= rows[leaf][q] * rows[q][leaf] * values[rest ^ neighbour]
-            value = normalize(value)
-        elif (component := _component(adjacent, enc)) != enc:
-            value = normalize(values[component] * values[enc ^ component])
-        else:
-            value = chain.minor(enc)
-        values.append(value)
-        yield value
+    for h in range(n):
+        lower = adjacent[h] & ((1 << h) - 1)
+        if lower & (lower - 1) == 0:
+            d, q = rows[h][h], lower.bit_length() - 1
+            c = rows[h][q] * rows[q][h] if lower else 0
+            block = [d * v - c * values[r ^ lower] if r & lower else d * v
+                     for r, v in enumerate(values)]
+            if not integral:
+                block = list(map(normalize, block))
+            values += block
+            yield from block
+            continue
+        chain = chain or _Chain(rows)
+        for enc in range(1 << h, 2 << h):
+            leaf = _leaf(adjacent, enc) if enc.bit_count() <= leaf_sizes else -1
+            if leaf >= 0:
+                rest = enc ^ (1 << leaf)
+                value = rows[leaf][leaf] * values[rest]
+                neighbour = adjacent[leaf] & rest
+                if neighbour:
+                    q = neighbour.bit_length() - 1
+                    value -= rows[leaf][q] * rows[q][leaf] * values[rest ^ neighbour]
+                value = normalize(value)
+            elif (component := _component(adjacent, enc)) != enc:
+                value = normalize(values[component] * values[enc ^ component])
+            else:
+                value = chain.minor(enc)
+            values.append(value)
+            yield value
 
 
 class _Chain:

@@ -19,6 +19,7 @@ from principal_minors import (
 from principal_minors import documents
 from principal_minors.documents import (
     DocumentError,
+    basis_digest,
     basis_document,
     dumps,
     loads,
@@ -144,24 +145,35 @@ def test_error_messages_cut_a_long_rejected_value():
 
 
 def test_minors_coords_read_in_bulk_as_one_at_a_time():
-    # a list of "p/1" texts is read with int alone; every other list goes
-    # through documents._scalar_in one value at a time
-    edges = ("-0/1", "007/1", "-" + "9" * 5000 + "/1", "9" * MAX_DIGITS + "/1",
-             "9" * (MAX_DIGITS + 1) + "/1", "1/1,2/1", "1/1\n", "+1/1", "1_0/1", "\u0661/1",
-             "/1", "-/1", "1/2", "4/2", "-3", 5, 10 ** 5000, Fraction(1, 2), None, ["1/1"])
+    # a list of "p/1" texts is read in bulk, one match of the joined text
+    # and one JSON array; every other list goes through documents._scalar_in
+    # one value at a time, with the same values, types and errors
+    edges = ("-0/1", "007/1", "", " 1/1", "1/1 ", "-" + "9" * 5000 + "/1",
+             "1" + "0" * 4300 + "/1", "-" + "1" * 4301 + "/1", "9" * MAX_DIGITS + "/1",
+             "-" + "9" * MAX_DIGITS + "/1", "9" * (MAX_DIGITS + 1) + "/1", "1/1,2/1", "1/1,",
+             ",1/1", "1/1\n", "+1/1", "1_0/1", "\u0661/1", "/1", "-/1", "1/2", "1/11", "4/2",
+             "-3", "1", 5, -7, 10 ** 5000, Fraction(1, 2), True, 1.0, None, ["1/1"])
     for edge in edges:
-        for coords in (["1/1", edge], [edge, "-2/1", "3/1", "40/1"], ["1/1", "2/1", "3/1", edge]):
-            doc = {"kind": "minors", "schema_version": 1, "n": len(coords).bit_length() - 1,
-                   "order": "lsb-factor-1", "coords": coords}
+        for values in (["1/1", edge], [edge, "-2/1", "3/1", "40/1"], ["1/1", "2/1", "3/1", edge]):
+            doc = {"kind": "minors", "schema_version": 1, "n": len(values).bit_length() - 1,
+                   "order": "lsb-factor-1", "coords": values}
+            rows = [values, ["0/1"] * len(values), list(reversed(values))]
             try:
-                expected = tuple(documents._scalar_in(c) for c in coords)
+                expected = tuple(documents._scalar_in(c) for c in values)
             except DocumentError as err:
                 with pytest.raises(DocumentError) as got:
                     parse_minors_document(doc)
                 assert str(got.value) == str(err)
+                with pytest.raises(DocumentError) as got:
+                    documents._rows_in(rows)
+                assert str(got.value) == str(err)
                 continue
             got = parse_minors_document(doc).coords
             assert got == expected and list(map(type, got)) == list(map(type, expected))
+            got = documents._rows_in(rows)
+            assert got == (expected, (0,) * len(values), expected[::-1])
+            assert [list(map(type, row)) for row in got[::2]] == \
+                [list(map(type, want)) for want in (expected, expected[::-1])]
 
 
 def test_exponent_form_is_rejected_before_building_its_integer():
@@ -294,6 +306,15 @@ def test_parse_report_rejects_values_outside_their_sets():
 def test_serialization_is_deterministic():
     basis = hd_basis(4)
     assert dumps(basis_document(basis)) == dumps(basis_document(basis))
+
+
+def test_basis_text_is_the_document_dumped_once():
+    for n in (3, 4, 5):
+        basis = hd_basis(n)
+        text, digest = documents.basis_text(basis)
+        assert text == dumps(basis_document(basis))
+        assert digest == basis_digest(basis) == basis_document(basis)["digest"]
+    assert digest == "sha256:14ee0386e43f4975f44dca40e4a4ef4a127598a236559a592b15e03268dd49d5"
 
 
 def test_parse_rejects_wrong_kind_and_schema():

@@ -195,6 +195,23 @@ def test_group_invariance_of_verdicts():
         assert is_member(act_point(g, non_member), "basis").verdict == "non-member"
 
 
+def test_group_invariance_of_reconstruct_and_prefilter_verdicts():
+    # a moved member has rational coordinates with large denominators, so
+    # its candidate matrix has rational rows, which the kernel normalizes
+    rng = random.Random(54)
+    for n in (5, 8, 11):
+        member = minor_vector(random_symmetric_matrix(n, rng, nonzero_offdiag=True), 1)
+        raised = perturb(member, (1 << n) - 1)
+        for z, verdicts in ((member, ("member", "indeterminate")),
+                            (raised, ("non-member", "non-member"))):
+            g = random_special_element(n, rng, permute=True)
+            moved = act_point(g, z)
+            assert any(Fraction(c).denominator > 1 for c in moved.coords)
+            for method, verdict in zip(("reconstruct", "prefilter"), verdicts):
+                assert is_member(z, method).verdict == verdict
+                assert is_member(moved, method).verdict == verdict
+
+
 # -- prefilter ----------------------------------------------------------
 
 def test_prefilter_accepts_members_n5():

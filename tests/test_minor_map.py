@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -203,6 +203,77 @@ def test_kernel_factors_two_cliques_without_a_cross_determinant(monkeypatch):
     assert len(asked) == 2 * (4 + 1)
     assert all(enc.bit_count() in (3, 4) for enc in asked)
     assert calls == []
+
+
+def per_subset_calls(monkeypatch):
+    """The encoding of each subset that the kernel visits alone (asks
+    `_leaf` about), in a list."""
+    visited = []
+    leaf = minor_map._leaf
+    monkeypatch.setattr(minor_map, "_leaf",
+                        lambda adjacent, enc: visited.append(enc) or leaf(adjacent, enc))
+    return visited
+
+
+def star(n, centre):
+    return [(min(k, centre), max(k, centre)) for k in range(n) if k != centre]
+
+
+def test_kernel_takes_a_block_whole_below_at_most_one_lower_neighbour(monkeypatch):
+    visited = per_subset_calls(monkeypatch)
+    asked = chain_subsets(monkeypatch)
+    rng = random.Random(51)
+    for n in range(1, 10):
+        # a path, and a tree whose vertex k > 0 hangs from one vertex below k
+        for edges in ([(k, k + 1) for k in range(n - 1)], tree_plus(n, 0, rng)):
+            for rows in (on_edges(n, edges, rng), on_edges(n, edges, rng, rational)):
+                visited.clear()
+                assert list(all_principal_minors(rows)) == det_per_subset(rows)
+                assert visited == [] and asked == []
+
+
+def test_kernel_visits_subsets_alone_under_a_star_centred_on_the_top_vertex(monkeypatch):
+    visited = per_subset_calls(monkeypatch)
+    asked = chain_subsets(monkeypatch)
+    rng = random.Random(52)
+    for n in range(3, 10):
+        for rows in (on_edges(n, star(n, n - 1), rng), on_edges(n, star(n, n - 1), rng, rational)):
+            visited.clear()
+            assert list(all_principal_minors(rows)) == det_per_subset(rows)
+            # only the top block has two or more lower neighbours; a star is
+            # a forest, so no subset reaches the chain
+            assert visited == list(range(1 << (n - 1), 1 << n)) and asked == []
+        # centred on vertex 0, every vertex has one lower neighbour
+        visited.clear()
+        rows = on_edges(n, star(n, 0), rng)
+        assert list(all_principal_minors(rows)) == det_per_subset(rows)
+        assert visited == []
+
+
+def test_kernel_stops_with_the_block_that_holds_the_last_minor_taken(monkeypatch):
+    # with a denominator above 1 somewhere, the kernel normalizes each
+    # minor it computes exactly once
+    computed = []
+    monkeypatch.setattr(minor_map, "normalize", lambda v: computed.append(v) or normalize(v))
+    rng = random.Random(53)
+    n = 9
+    graphs = ([(k, k + 1) for k in range(n - 1)], star(n, n - 1), tree_plus(n, 2, rng),
+              list(combinations(range(n), 2)))
+    for edges in graphs:
+        rows = on_edges(n, edges, rng, rational)
+        rows[0][0] = Fraction(1, 2)
+        adjacent = [sum(1 << j for j in range(n) if j != i and rows[i][j] != 0)
+                    for i in range(n)]
+        expected = det_per_subset(rows)
+        for e in sorted({1, 2, 3, 5, 6, 40, 64, 200, 256, 300, 511}
+                        | set(rng.sample(range(1, 512), 20))):
+            computed.clear()
+            assert list(islice(all_principal_minors(rows), e + 1)) == expected[:e + 1]
+            h = e.bit_length() - 1
+            lower = adjacent[h] & ((1 << h) - 1)
+            # a whole block is computed before its first minor is yielded;
+            # a block of subsets visited alone, up to e only
+            assert len(computed) == (2 * (1 << h) - 1 if lower & (lower - 1) == 0 else e)
 
 
 def test_kernel_takes_determinants_only_without_a_leaf(monkeypatch):
