@@ -25,7 +25,6 @@ of its dataclass in membership.py.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from dataclasses import fields
@@ -257,6 +256,10 @@ def _basis_entries_payload(basis: ModuleBasis) -> list[dict]:
 def _digest(n: int, entries_text: str) -> str:
     """The hash of dumps({"n": n, "entries": entries}), spliced from the
     entries' text."""
+    # imported here: loading OpenSSL adds about 3.6 MB resident to every
+    # command, and only basis documents carry a digest
+    import hashlib
+
     payload = f'{{"entries":{entries_text},"n":{n}}}\n'
     return "sha256:" + hashlib.sha256(payload.encode()).hexdigest()
 

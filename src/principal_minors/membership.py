@@ -2,10 +2,11 @@
 
 Three methods:
   basis       the degree-4 module basis vanishes at z exactly when z is
-              a member over the complex numbers; otherwise the first
-              nonzero entry, in basis order, and its value are the
-              certificate.  `hyperdet.first_nonzero_entry` answers with
-              no basis built, for n <= MAX_BASIS_CHECK_FACTORS.
+              a member over the complex numbers.  A verified
+              reconstruction answers a member; every other z asks
+              `hyperdet.first_nonzero_entry`, which builds no basis: the
+              first nonzero entry, in basis order, and its value are the
+              certificate.  Bounded at n <= MAX_BASIS_CHECK_FACTORS.
   reconstruct rebuild one candidate matrix, square-root free: the
               diagonal and each a_ij^2 from the |I| <= 2 coordinates, and
               per edge off the greedy forest the product of the a_e around
@@ -45,8 +46,12 @@ EXIT_NON_MEMBER = 1
 EXIT_USAGE = 2
 EXIT_INDETERMINATE = 3
 
-# a dense member's coefficient tables took 0.19 s at n = 7, 2.3 s at n = 8
-# and 27 s at n = 9 (one run each, 2-core x86 VM, Python 3.11)
+# a member is answered by reconstruction; the bound guards the scan of
+# every other z.  A dense member with its top coordinate raised took 59 ms
+# at n = 8 and 0.36 s at n = 9, 19 ms and 78 ms of it the entry_content
+# lowering of index 781 and 3906; reading every triple's form, as a scan
+# that finds no nonzero entry does, took 1.7 s at n = 8 and 23 s at n = 9
+# (one run each, 2-core x86 VM, Python 3.11.7)
 MAX_BASIS_CHECK_FACTORS = 8
 
 
@@ -365,10 +370,14 @@ def is_member(z: MinorVector, method: str = "basis") -> MembershipReport:
     realization gets a SymmetrizableCertificate, a non-member a
     NoConsistentSigns or MinorMismatch).
 
-    method="basis" asks `hyperdet.first_nonzero_entry`, which builds no
-    basis: a non-member's BasisViolation names the first nonzero entry of
-    hd_basis(n) in basis order, with its value.  It raises ValueError
-    beyond n = MAX_BASIS_CHECK_FACTORS = 8.
+    method="basis" first asks method="reconstruct".  A member there is
+    a member here, with no certificate: the verified reconstruction puts
+    z, or J_I . z, in Z_n, where every entry of the module vanishes
+    (Cayley's form vanishes on Z_3, and Z_n is SL(2)^n- and
+    S_n-invariant).  Every other z asks `hyperdet.first_nonzero_entry`,
+    which builds no basis: a non-member's BasisViolation names the first
+    nonzero entry of hd_basis(n) in basis order, with its value.  It
+    raises ValueError beyond n = MAX_BASIS_CHECK_FACTORS = 8.
 
     With method="reconstruct" and z_[0..0] = 0, z is first
     moved into the open chart by J_I: the Weyl element J = [[0, 1],
@@ -404,6 +413,9 @@ def is_member(z: MinorVector, method: str = "basis") -> MembershipReport:
         if n > MAX_BASIS_CHECK_FACTORS:
             raise ValueError(f"the basis check is bounded at n <= {MAX_BASIS_CHECK_FACTORS},"
                              f" got n={excerpt(n)}")
+        # a verified reconstruction puts z (or J_I . z) in Z_n, where every entry vanishes
+        if is_member(z, "reconstruct").verdict == VERDICT_MEMBER:
+            return MembershipReport(n, VERDICT_MEMBER, method)
         first, violation, passed = first_nonzero_entry(z), BasisViolation, VERDICT_MEMBER
     else:
         first, violation, passed = first_nonzero_slice(z), PrefilterViolation, VERDICT_INDETERMINATE

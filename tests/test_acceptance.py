@@ -38,6 +38,7 @@ from principal_minors import (
     tensor_product,
     weight_basis,
 )
+from principal_minors.hyperdet import first_nonzero_entry
 from principal_minors.polynomials import TensorPolynomial, act_point, augment
 from principal_minors.sampling import (
     random_special_element,
@@ -239,7 +240,10 @@ def test_criterion_8_structural_laws():
         assert is_member(non_member, "basis").verdict == "non-member"
         for _ in range(10):
             g = random_special_element(n, rng, permute=True)
-            assert is_member(act_point(g, member), "basis").verdict == "member"
+            moved = act_point(g, member)
+            assert is_member(moved, "basis").verdict == "member"
+            # the verdict comes from a verified reconstruction; the module vanishes too
+            assert first_nonzero_entry(moved) is None
             assert is_member(act_point(g, non_member), "basis").verdict == "non-member"
             moves += 1
     report(8, moves == 20,

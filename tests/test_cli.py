@@ -578,6 +578,31 @@ def test_cli_entry_point_runs(tmp_path):
     assert proc.stdout.strip() == "n=1 coords=2"
 
 
+def test_check_imports_no_hashlib(tmp_path):
+    # loading OpenSSL adds about 3.6 MB resident; only basis documents need
+    # a digest.  The baseline follows `random` and `tempfile`, which some
+    # builds load hashlib for.
+    import subprocess
+    import sys
+
+    import principal_minors
+
+    zfile = tmp_path / "z.json"
+    write_minors(zfile, minor_vector(SymmetricMatrix.from_rows(
+        [[1, 2, 0], [2, 3, 1], [0, 1, 4]]), 1))
+    script = "\n".join([
+        "import random, sys, tempfile",
+        f"sys.path.insert(0, {str(Path(principal_minors.__file__).parent.parent)!r})",
+        "base = set(sys.modules)",
+        "from principal_minors import cli",
+        f"code = cli.main(['check', '--in', {str(zfile)!r}, '--method', 'basis'])",
+        "print(code, sorted({'hashlib', '_hashlib'} & (set(sys.modules) - base)))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
 @pytest.mark.parametrize("command,kind", [
     (["minors"], "matrix"),
     (["check"], "minors"),

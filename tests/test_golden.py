@@ -323,7 +323,7 @@ def cases() -> dict[str, tuple[list[str], object]]:
     for n in range(1, 8):
         for vector, coords in minor_vectors(n).items():
             for method, vectors in CHECKS.items():
-                # at n = 7 only perturbed-top: a dense member takes about 0.2 s there
+                # at n = 7 only perturbed-top, as the member is a case of its own below
                 if vector in vectors and (method != "basis" or n < 7 or vector == "perturbed-top"):
                     add(f"check/{method}/{vector}/n={n}",
                         ["check", "--in", INPUT, "--method", method, "--out", "report.json"],
@@ -335,10 +335,17 @@ def cases() -> dict[str, tuple[list[str], object]]:
                         minors_doc(coords))
     add("check/basis/member/n=7", ["check", "--in", INPUT, "--method", "basis"],
         minors_doc(minor_vectors(7)["member"]))
-    # a dense n = 8 member's check takes 2-3 s, so only a non-member; n = 9 is past the bound
-    add("check/basis/perturbed-top/n=8", ["check", "--in", INPUT, "--method", "basis",
+    # a member is answered by a verified reconstruction, a non-member by the
+    # module scan, about 1 ms and 50 ms at n = 8; n = 9 is past the bound
+    for vector in ("member", "perturbed-top"):
+        add(f"check/basis/{vector}/n=8", ["check", "--in", INPUT, "--method", "basis",
                                           "--out", "report.json"],
-        minors_doc(minor_vectors(8)["perturbed-top"]))
+            minors_doc(minor_vectors(8)[vector]))
+    # members with no rational symmetric matrix, as a_12^2 = 2 is not a rational square
+    for n, coords in ((2, [1, 1, 1, -1]), (3, [1, 2, 2, 2, 3, 4, 5, 4])):
+        add(f"check/basis/symmetrizable-member/n={n}",
+            ["check", "--in", INPUT, "--method", "basis", "--out", "report.json"],
+            minors_doc(coords))
     add("check/basis/identity/n=9", ["check", "--in", INPUT, "--method", "basis"],
         minors_doc([1] * 512))
     add("check/basis/no-report/n=4", ["check", "--in", INPUT],

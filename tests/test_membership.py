@@ -172,6 +172,8 @@ def test_method_agreement_on_mixed_inputs():
             verdict_basis = is_member(probe, "basis").verdict
             verdict_rec = is_member(probe, "reconstruct").verdict
             assert verdict_basis == verdict_rec
+            # a member's basis verdict is reconstruct's; the module scan is asked apart
+            assert (hyperdet.first_nonzero_entry(probe) is None) == (verdict_basis == "member")
             if probe is z:
                 assert verdict_basis == "member"
 
@@ -180,6 +182,7 @@ def test_low_order_perturbations_basis_and_reconstruct_agree():
     rng = random.Random(32)
     a = random_symmetric_matrix(4, rng, nonzero_offdiag=True)
     z = minor_vector(a, 1)
+    assert hyperdet.first_nonzero_entry(z) is None
     probe = perturb(z, (1 << 0) | (1 << 1))  # an |I| = 2 coordinate
     assert is_member(probe, "basis").verdict == "non-member"
     assert is_member(probe, "reconstruct").verdict == "non-member"
@@ -192,6 +195,7 @@ def test_group_invariance_of_verdicts():
     for _ in range(6):
         g = random_special_element(4, rng, permute=True)
         assert is_member(act_point(g, member), "basis").verdict == "member"
+        assert hyperdet.first_nonzero_entry(act_point(g, member)) is None
         assert is_member(act_point(g, non_member), "basis").verdict == "non-member"
 
 
@@ -1085,6 +1089,7 @@ def test_dmd_basis_and_reconstruct_agree():
         pairs = [(1 << i) | (1 << j) for i, j in combinations(range(n), 2)]
         probes = [z, perturb(z, rng.choice(pairs)), perturb(z, rng.choice(pairs), -2),
                   perturb(z, (1 << n) - 1), perturb(z, 0b111, 3)]
+        assert hyperdet.first_nonzero_entry(z) is None
         for probe in probes:
             verdict = is_member(probe, "reconstruct").verdict
             assert verdict == is_member(probe, "basis").verdict
@@ -1234,6 +1239,43 @@ def test_basis_check_matches_the_entry_by_entry_loop(monkeypatch):
                 assert report == MembershipReport(n, "non-member", "basis", BasisViolation(*want))
                 assert type(report.certificate.value) is type(want[1]) and built == []
     assert members >= 20
+
+
+def test_basis_check_answers_members_by_reconstruction(monkeypatch):
+    # integer, D.M.D, z_[0..0] = 0 and symmetrizable members: a verified
+    # reconstruction answers and the module scan is never asked, yet it
+    # vanishes there when asked apart; a non-member's report is the scan's
+    rng = random.Random(57)
+    calls = []
+    monkeypatch.setattr(membership, "first_nonzero_entry",
+                        lambda z: calls.append(z) or hyperdet.first_nonzero_entry(z))
+    members = [MinorVector.from_values(3, [1, 2, 2, 2, 3, 4, 5, 4])]  # a_12^2 = 2
+    for n in (3, 4, 5, 6):
+        a = random_symmetric_matrix(n, rng, nonzero_offdiag=True)
+        b = random_symmetric_matrix(n, rng, nonzero_offdiag=True)
+        while det_exact(b.rows()) == 0:
+            b = random_symmetric_matrix(n, rng, nonzero_offdiag=True)
+        flip = GroupElement.from_matrices([((0, 1), (-1, 0))] + [((1, 0), (0, 1))] * (n - 1))
+        members += [minor_vector(a, 1),
+                    dmd_minors(a, [rng.choice((2, 3, -1, 5, Fraction(1, 2))) for _ in range(n)]),
+                    minor_vector(b, 0),  # (0, ..., 0, det B)
+                    act_point(flip, minor_vector(a, 1))]
+    routes = set()
+    for z in members:
+        calls.clear()
+        assert is_member(z, "basis") == MembershipReport(z.n, "member", "basis")
+        assert calls == []
+        assert hyperdet.first_nonzero_entry(z) is None
+        report = is_member(z, "reconstruct")
+        routes.add((type(report.certificate).__name__, report.chart_moves))
+        # (0, ..., 0, det B) stays a member with its top coordinate raised
+        probe = perturb(z, (1 << z.n) - 1) if z[0] else perturb(z, 0)
+        report = is_member(probe, "basis")
+        assert len(calls) == 1
+        assert report == MembershipReport(z.n, "non-member", "basis",
+                                          BasisViolation(*hyperdet.first_nonzero_entry(probe)))
+    assert routes >= {("MatrixCertificate", 0), ("MatrixCertificate", 1),
+                      ("SymmetrizableCertificate", 0)}
 
 
 # -- sign-flip profile ----------------------------------------------------
