@@ -10,11 +10,11 @@ Three methods:
   reconstruct rebuild one candidate matrix, square-root free: the
               diagonal and each a_ij^2 from the |I| <= 2 coordinates, and
               per edge off the greedy forest the product of the a_e around
-              one chordless cycle from four coordinates; check every
-              |I| = 3 coordinate, then all 2^n.  Decides every vector with
-              z_[0..0] != 0 (after one chart move, a signed permutation,
-              otherwise); each failure raises a ReconstructionError
-              carrying the report's certificate.
+              one chordless cycle from four coordinates; check all 2^n in
+              one pass: the first mismatch in encoding order is a "triple"
+              at |I| = 3, else a minor-mismatch.  Decides z_[0..0] != 0
+              (else after one chart move, a signed permutation); each
+              failure raises a ReconstructionError with the certificate.
   prefilter   rejects only: `hyperdet.first_nonzero_slice`, Cayley's form on
               one slice per triple of u(s) . z; hyperdet bounds what it misses.
 """
@@ -30,11 +30,12 @@ from typing import Optional
 
 from .hyperdet import first_nonzero_entry, first_nonzero_slice
 from .indices import MinorVector
-from .matrices import SymmetricMatrix, det_exact
+from .matrices import SymmetricMatrix
 from .minor_map import all_principal_minors, minor_vector
 from .scalars import Scalar, excerpt, normalize, scalar_text, sqrt_exact
 # not called here: perfbench/tracer.py patches these names in membership and requires them bound
 from .hyperdet import cayley_hyperdet, hd_basis  # noqa: F401
+from .matrices import det_exact  # noqa: F401
 from .polynomials import act_point, evaluate  # noqa: F401
 
 VERDICT_MEMBER = "member"
@@ -99,8 +100,8 @@ class NoConsistentSigns:
     `expected` of its s_e.  With w = z / z_[0..0], s_ij = w_i w_j - w_ij
     and l the lowest vertex of C, p and q its neighbours on C: 2 pi_C =
     (-1)^(m+1) (w_C - w_l w_(C-l) + s_lp w_(C-l-p) + s_lq w_(C-l-q)).
-    check "triple": the candidate's minor at `encoding` is `actual`, not
-    z's `expected`."""
+    check "triple": the 2^n pass first mismatches at |I| = 3, `encoding`,
+    where the candidate's minor is `actual`, not z's `expected`."""
     check: str
     encoding: int
     expected: Scalar
@@ -168,7 +169,7 @@ class NonSquareEntryError(ReconstructionError):
 
 class NonMemberError(ReconstructionError):
     """z is not a vector of principal minors; the certificate is a
-    NoConsistentSigns or a MinorMismatch."""
+    NoConsistentSigns ("cycle", or "triple" at |I| = 3) or a MinorMismatch."""
 
     def __init__(self, certificate):
         what = (f"no off-diagonal signs fit the {certificate.check}"
@@ -281,20 +282,17 @@ def _rows(diag: list, steps: list, down: dict, up: Optional[dict] = None) -> lis
 
 
 def _verify(rows: list[list], z: MinorVector) -> None:
-    """Every C(n,3) triple first, then all 2^n minors through the kernel,
-    lazy per block, so it stops with the block of the first mismatch.  A
-    minor m of rows matches when m * z_[0..0] = z_I; certificates carry
-    w_I = z_I / z_[0..0]."""
-    n, coords = len(rows), z.coords
-    z0 = coords[0]
-    for ijk in combinations(range(n), 3):
-        enc = sum(1 << v for v in ijk)
-        value = det_exact([[rows[a][b] for b in ijk] for a in ijk])
-        if value * z0 != coords[enc]:
-            raise NonMemberError(NoConsistentSigns("triple", enc, _ratio(z, enc), value))
+    """All 2^n minors through the kernel in one pass, lazy per block, so
+    it stops with the block of the first mismatch in encoding order: at
+    |I| = 3 a NoConsistentSigns "triple", above a MinorMismatch (`_place`
+    read |I| <= 2).  A minor m of rows matches when m * z_[0..0] = z_I;
+    certificates carry w_I = z_I / z_[0..0]."""
+    z0, coords = z[0], z.coords
     for enc, value in enumerate(all_principal_minors(rows)):
         if value * z0 != coords[enc]:
-            raise NonMemberError(MinorMismatch(enc, _ratio(z, enc), value))
+            expected = _ratio(z, enc)
+            raise NonMemberError(NoConsistentSigns("triple", enc, expected, value)
+                                 if enc.bit_count() == 3 else MinorMismatch(enc, expected, value))
 
 
 def reconstruct(z: MinorVector, mode: str = "exact") -> SymmetricMatrix:
@@ -308,12 +306,12 @@ def reconstruct(z: MinorVector, mode: str = "exact") -> SymmetricMatrix:
     rational roots of the s_e alone give the rational symmetric A; when
     some s_e is not a rational square, 1 down and s_e up give the
     rational B diagonally similar to a complex symmetric one.  The
-    candidate is checked on every |I| = 3 coordinate and then on all 2^n.
+    candidate is checked on all 2^n coordinates in one pass.
 
     z and every nonzero multiple of it give the same matrix.  Every
     failure is a ReconstructionError whose .certificate is the one
     `is_member` reports: NonMemberError carries a NoConsistentSigns
-    (cycle or triple check) or a MinorMismatch (2^n check), and in exact
+    (cycle, or triple at |I| = 3) or a MinorMismatch (|I| >= 4), and in exact
     mode NonSquareEntryError carries a SymmetrizableCertificate with the
     verified B when z is a member with no rational symmetric matrix.
     z_[0..0] = 0 raises ZeroLeadingCoordinateError, a ValueError.
@@ -364,11 +362,11 @@ def is_member(z: MinorVector, method: str = "basis") -> MembershipReport:
 
     With method="basis" or "prefilter", n <= 2 vectors are members
     unconditionally (the map is surjective there); "reconstruct" treats
-    them like any other and attaches a certificate: the
-    MatrixCertificate of the matrix it returns, or the certificate of the
-    ReconstructionError it raises (a member with no rational symmetric
-    realization gets a SymmetrizableCertificate, a non-member a
-    NoConsistentSigns or MinorMismatch).
+    them like any other and attaches a certificate: the MatrixCertificate
+    of the matrix it returns, or the certificate of the ReconstructionError
+    it raises (a member with no rational symmetric realization gets a
+    SymmetrizableCertificate, a non-member a NoConsistentSigns ("cycle",
+    or "triple" if the first mismatching minor has |I| = 3) or a MinorMismatch).
 
     method="basis" first asks method="reconstruct".  A member there is
     a member here, with no certificate: the verified reconstruction puts

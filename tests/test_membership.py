@@ -17,6 +17,7 @@ from principal_minors import (
     hyperdet,
     is_member,
     membership,
+    minor_map,
     minor_vector,
     reconstruct,
     sign_flip_profile,
@@ -203,7 +204,7 @@ def test_group_invariance_of_reconstruct_and_prefilter_verdicts():
     # a moved member has rational coordinates with large denominators, so
     # its candidate matrix has rational rows, which the kernel normalizes
     rng = random.Random(54)
-    for n in (5, 8, 11):
+    for n in (5, 8, 11, 14):
         member = minor_vector(random_symmetric_matrix(n, rng, nonzero_offdiag=True), 1)
         raised = perturb(member, (1 << n) - 1)
         for z, verdicts in ((member, ("member", "indeterminate")),
@@ -214,6 +215,23 @@ def test_group_invariance_of_reconstruct_and_prefilter_verdicts():
             for method, verdict in zip(("reconstruct", "prefilter"), verdicts):
                 assert is_member(z, method).verdict == verdict
                 assert is_member(moved, method).verdict == verdict
+    # the basis verdict at n <= 8.  The dense graph's cycle steps read the
+    # triangles through vertex 1 only, so a copy with triple {2, 3, 4}
+    # raised, of an integer member or of a moved, rational one, is named
+    # by its first mismatch at |I| = 3
+    for n in (6, 7, 8):
+        member = minor_vector(random_symmetric_matrix(n, rng, nonzero_offdiag=True), 1)
+        rational = act_point(random_special_element(n, rng, permute=True), member)
+        triples = [perturb(y, 0b1110) for y in (member, rational)]
+        for y in triples:
+            cert = is_member(y, "reconstruct").certificate
+            assert (cert.check, cert.encoding) == ("triple", 0b1110)
+        points = [(member, "member"), (rational, "member"),
+                  (perturb(member, (1 << n) - 1), "non-member")]
+        for z, verdict in points + [(y, "non-member") for y in triples]:
+            g = random_special_element(n, rng, permute=True)
+            assert is_member(z, "basis").verdict == verdict
+            assert is_member(act_point(g, z), "basis").verdict == verdict
 
 
 # -- prefilter ----------------------------------------------------------
@@ -498,6 +516,44 @@ def test_reconstruct_rejects_perturbed_triple_with_no_sign_pattern():
     with pytest.raises(NonMemberError) as err:
         reconstruct(z, "exact")
     assert isinstance(err.value.certificate, NoConsistentSigns)
+
+
+def test_reconstruct_names_the_first_mismatch_in_encoding_order():
+    # one pass over all 2^n minors: the first mismatching encoding names
+    # the certificate, "triple" at |I| = 3 and MinorMismatch above.  The
+    # dense graph's cycle steps read only triangles through vertex 1, so
+    # the candidate is read from none of 26, 30 and 38
+    z = minor_vector(random_symmetric_matrix(6, random.Random(1), nonzero_offdiag=True), 1)
+    for raised, want in (((26, 38), NoConsistentSigns("triple", 26, -25, -26)),
+                         ((30, 38), MinorMismatch(30, -254, -255))):
+        probe = z
+        for enc in raised:
+            probe = perturb(probe, enc)
+        assert is_member(probe, "reconstruct").certificate == want
+        with pytest.raises(NonMemberError, match=f"at encoding {want.encoding}:"):
+            reconstruct(probe, "exact")
+
+
+def test_reconstruct_of_a_member_takes_no_determinant(monkeypatch):
+    # diagonal 100 makes the matrix strictly diagonally dominant, so every
+    # principal minor, and so every pivot of the bordered chain, is nonzero:
+    # checking the candidate takes no det_exact
+    calls = []
+    for module in (minor_map, membership):
+        home = module.det_exact
+        monkeypatch.setattr(module, "det_exact",
+                            lambda rows, home=home: calls.append(rows) or home(rows))
+    rng = random.Random(56)
+    for n in (5, 7, 9):
+        rows = random_symmetric_matrix(n, rng, nonzero_offdiag=True).rows()
+        for i in range(n):
+            rows[i][i] = 100
+        z = minor_vector(SymmetricMatrix.from_rows(rows), 1)
+        assert all(z.coords)
+        calls.clear()
+        report = is_member(z, "reconstruct")
+        assert (report.verdict, report.chart_moves) == ("member", 0)
+        assert calls == []
 
 
 def test_reconstruct_zero_leading_coordinate():
