@@ -26,8 +26,10 @@ P_e (`entry_content`), and its value at z is c_e / sigma_e, c_e the
 coefficient of s^e in hwv_T(u(s) . z): `first_nonzero_entry` answers a
 basis membership check with no entry built, at any n.
 
-The prefilter reads the same form at one s of 32-bit shifts: sum_e c_e s^e,
-from the basis check's coefficients (`first_nonzero_slice`).  SL(2)^n keeps
+The prefilter (`first_nonzero_slice`) reads the same form's value
+sum_e c_e s^e at one s of 32-bit shifts, with no coefficient built: it applies
+u(s) in place to the primitive integer multiple of z and reads Cayley's form
+on each triple's slice with the other factors at 0.  SL(2)^n keeps
 Z_n, and the outside-0 slice of phi(A, t) is t^(n-3) phi(A_T, t), in Z_3.  The
 form is SL(2)-invariant in T's factors, so one u(s) serves every T; of degree
 at most 4 in each s_k, with the 0/1 slices outside T as corners, it misses a
@@ -41,13 +43,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, islice
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd
 from typing import Optional
 
 from .indices import MinorVector
 from .polynomials import GroupElement, TensorPolynomial, Weight, act, lower
 from .rep_theory import weight_basis
-from .scalars import Scalar, excerpt, normalize
+from .scalars import Scalar, clear_denominators, excerpt, normalize
 
 MAX_BASIS_FACTORS = 6
 
@@ -177,8 +179,7 @@ def _slice_form(z: MinorVector, triple: tuple[int, int, int]) -> dict:
 def _primitive(z: MinorVector) -> tuple[list[int], Fraction]:
     """The coordinates of (L/g) z, the primitive integer multiple of the nonzero
     rational z, and (g/L)^4, which takes a degree-4 form's value there back to z."""
-    common = lcm(*(c.denominator for c in z.coords))
-    ints = [c.numerator * (common // c.denominator) for c in z.coords]
+    common, ints = clear_denominators(z.coords)
     g = gcd(*ints)
     return [c // g for c in ints], Fraction(g, common) ** 4
 

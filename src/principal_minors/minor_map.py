@@ -11,29 +11,30 @@ the block comes by the first of three rules that applies to the
 subset's induced graph of nonzero off-diagonal entries: a leaf (an
 expansion along the leaf's row), a disconnected graph (a product over
 components), and otherwise Sylvester's bordered identity along the
-chain of subsets that drops the lowest vertex, on rows scaled once to
-integers (`_Chain`).  So a forest takes no determinant, and `det_exact`
-is taken only where that chain meets a zero pivot.  `minor_vector` is
-bounded at n <= MAX_MINOR_FACTORS.
+chain of subsets that drops the lowest vertex (`_Chain`).  The rows are
+scaled once on entry, to integers, every rule runs in ints, and each
+minor takes one division, by its rows' scales, as it is yielded.  So a
+forest takes no determinant, and `det_exact` is taken only where the
+chain meets a zero pivot.  `minor_vector` is bounded at
+n <= MAX_MINOR_FACTORS.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Iterator, Sequence
 
 from .indices import BinaryIndex, MinorVector
 from .matrices import SingularMatrixError, SymmetricMatrix, det_exact
-from .scalars import Scalar, as_scalar, normalize
+from .scalars import Scalar, as_scalar, clear_denominators, normalize
 
-# At n = 14 the kernel takes 0.04 s on a dense integer matrix, 0.06-0.07 s
-# on a dense rational one with denominators 1..9 and 0.05 s on a dense one
-# with a zero diagonal (0.43-0.90 s with one determinant per subset); a
-# tree plus 0..3 extra edges takes 0.002-0.009 s, as the blocks of every
-# vertex with at most one lower neighbour are taken whole (0.008-0.011 s
-# subset by subset).  Dense n = 15 and 16 take 0.07
-# and 0.15-0.17 s (integer), 0.14 and 0.29-0.32 s (rational), and are still
+# At n = 14 the kernel takes 0.04 s on a dense integer matrix, 0.07 s on a
+# dense rational one with denominators 1..9 and 0.04 s on a dense one with a
+# zero diagonal (0.43-0.90 s with one determinant per subset); a tree plus
+# 0..3 extra edges takes 0.002-0.007 s, or 0.015-0.025 s with denominators
+# 1..9, as the blocks of every vertex with at most one lower neighbour are
+# taken whole (0.008-0.011 s subset by subset).  Dense n = 15 and 16 take
+# 0.07 and 0.15 s (integer), 0.14 and 0.30 s (rational), and are still
 # rejected: the bound is raised only with the golden case that pins it
 # (2-core x86 VM, Python 3.11).
 MAX_MINOR_FACTORS = 14
@@ -53,24 +54,27 @@ def _principal_submatrix(rows: Sequence[Sequence], enc: int) -> list[list]:
 
 def all_principal_minors(rows: Sequence[Sequence]) -> Iterator[Scalar]:
     """All 2^n principal minors of exact rows in encoding order; rows need
-    not be symmetric.  Let G have an edge {i, j} when rows[i][j] or
-    rows[j][i] is nonzero.  The minors come in blocks, one per top vertex
-    h: block h holds the 2^h subsets S = R + h with R < 2^h, and each of
-    its minors comes from minors of lower encoding, which the kernel keeps
-    (2^n values).
+    not be symmetric.  Row i is scaled once on entry by the lcm d_i of its
+    denominators, so A' = D A is integral, every rule below runs on A' in
+    ints, and each minor leaves the integers once, as det(A'_S) /
+    prod_(i in S) d_i (an integral input's minors are its ints).  Let G
+    have an edge {i, j} when rows[i][j] or rows[j][i] is nonzero.  The
+    minors come in blocks, one per top vertex h: block h holds the 2^h
+    subsets S = R + h with R < 2^h, and each of its minors comes from
+    minors of lower encoding, which the kernel keeps (2^n values).
     - h has at most one neighbour q below it: h is a leaf of every S in
       the block, and expanding along row h,
-      det(A_S) = a_hh * det(A_R) - a_hq * a_qh * det(A_(R-q)),
+      det(A'_S) = a'_hh * det(A'_R) - a'_hq * a'_qh * det(A'_(R-q)),
       without the second term when q is not in R; the whole block is one
       comprehension over the minors so far.
     Otherwise each minor comes by the first rule that applies:
     - G[S] has a vertex l with at most one neighbour q in S: the same
       expansion along row l, for the lowest such l;
     - G[S] is disconnected, and C is the component of S's lowest vertex:
-      A_S is block diagonal up to a permutation, so
-      det(A_S) = det(A_C) * det(A_(S-C));
-    - otherwise, with j = min(S) and R = S - j, det(A_S) = B_R[j][j] from
-      the bordered chain (`_Chain`), on rows scaled once to integers.
+      A'_S is block diagonal up to a permutation, so
+      det(A'_S) = det(A'_C) * det(A'_(S-C));
+    - otherwise, with j = min(S) and R = S - j, det(A'_S) = B_R[j][j]
+      from the bordered chain (`_Chain`).
     So a forest takes no determinant, one whose every vertex has at most
     one lower neighbour visits no subset alone, and `det_exact` is taken
     only where the chain meets a zero pivot.  Lazy per block: a caller
@@ -78,9 +82,9 @@ def all_principal_minors(rows: Sequence[Sequence]) -> Iterator[Scalar]:
     n = len(rows)
     adjacent = [sum(1 << j for j in range(n) if j != i and (rows[i][j] != 0 or rows[j][i] != 0))
                 for i in range(n)]
-    # products of ints are ints; a Fraction entry, even Fraction(0, 5),
-    # makes products that normalize must bring back to int
-    integral = all(type(v) is int for row in rows for v in row)
+    scales, rows = zip(*map(clear_denominators, rows)) if n else ((), ())
+    # prod_(i in S) d_i at encoding S, doubled per block; none on integral rows
+    divisors = [1] if any(d != 1 for d in scales) else None
     # deg_S(l) >= deg_G(l) - (n - |S|), so no S larger than this has a leaf;
     # on a dense matrix only sizes 1 and 2 are scanned
     leaf_sizes = n + 1 - min(map(int.bit_count, adjacent), default=0)
@@ -88,16 +92,17 @@ def all_principal_minors(rows: Sequence[Sequence]) -> Iterator[Scalar]:
     values = [1]
     yield 1
     for h in range(n):
+        if divisors:
+            divisors += [scales[h] * v for v in divisors]
         lower = adjacent[h] & ((1 << h) - 1)
         if lower & (lower - 1) == 0:
             d, q = rows[h][h], lower.bit_length() - 1
             c = rows[h][q] * rows[q][h] if lower else 0
             block = [d * v - c * values[r ^ lower] if r & lower else d * v
                      for r, v in enumerate(values)]
-            if not integral:
-                block = list(map(normalize, block))
             values += block
-            yield from block
+            yield from ([normalize(Fraction(v, divisor)) for v, divisor
+                         in zip(block, divisors[1 << h:])] if divisors else block)
             continue
         chain = chain or _Chain(rows)
         for enc in range(1 << h, 2 << h):
@@ -109,48 +114,40 @@ def all_principal_minors(rows: Sequence[Sequence]) -> Iterator[Scalar]:
                 if neighbour:
                     q = neighbour.bit_length() - 1
                     value -= rows[leaf][q] * rows[q][leaf] * values[rest ^ neighbour]
-                value = normalize(value)
             elif (component := _component(adjacent, enc)) != enc:
-                value = normalize(values[component] * values[enc ^ component])
+                value = values[component] * values[enc ^ component]
             else:
                 value = chain.minor(enc)
             values.append(value)
-            yield value
+            yield normalize(Fraction(value, divisors[enc])) if divisors else value
 
 
 class _Chain:
-    """Sylvester's bordered identity along the lowest-vertex chain.
-
-    Row i is scaled once by the lcm d_i of its denominators, so A' = D A
-    is integral and det(A'_S) = det(A_S) * prod_(i in S) d_i.  For R a
-    set of vertices, B_R[i][i'] = det(A'[R+i, R+i']) for i, i' < min(R),
-    B_(empty) = A', and with j < min(R)
+    """Sylvester's bordered identity along the lowest-vertex chain, on the
+    integer rows A' that `all_principal_minors` scaled once on entry: every
+    state stays in ints, and the kernel divides each minor once, as it
+    yields it.  For R a set of vertices, B_R[i][i'] =
+    det(A'[R+i, R+i']) for i, i' < min(R), B_(empty) = A', and with
+    j < min(R)
       B_(R+j)[i][i'] = (B_R[j][j] * B_R[i][i'] - B_R[i][j] * B_R[j][i'])
                        / det(A'_R),
-    an exact division (Bareiss, Math. Comp. 22, 1968).  So det(A_S) =
-    B_R[j][j] / prod_S d for j = min(S), R = S - j.  The parent of R is
-    R - min(R), and encoding order is the pre-order of that tree, so the
-    live states form one chain from the empty set: a stack of at most
-    n + 1 states, each built the first time a subset asks for it and
-    never again.  At a zero pivot det(A'_R) = 0 the next state is built
-    directly, one `det_exact` per entry."""
+    an exact division (Bareiss, Math. Comp. 22, 1968).  So det(A'_S) =
+    B_R[j][j] for j = min(S), R = S - j.  The parent of R is R - min(R),
+    and encoding order is the pre-order of that tree, so the live states
+    form one chain from the empty set: a stack of at most n + 1 states,
+    each built the first time a subset asks for it and never again.  At
+    a zero pivot det(A'_R) = 0 the next state is built directly, one
+    `det_exact` per entry."""
 
-    def __init__(self, rows: Sequence[Sequence]):
-        self.scales = [lcm(*[v.denominator for v in row]) for row in rows]
-        self.rows = [[v.numerator * (d // v.denominator) for v in row]
-                     for row, d in zip(rows, self.scales)]
-        self.integral = all(d == 1 for d in self.scales)
-        # (R, det(A'_R), prod_R d, B_R), R growing down the stack
-        self.states = [(0, 1, 1, self.rows)]
+    def __init__(self, rows: Sequence[Sequence[int]]):
+        self.rows = rows
+        # (R, det(A'_R), B_R), R growing down the stack
+        self.states = [(0, 1, rows)]
 
-    def minor(self, enc: int) -> Scalar:
-        """det(A_S) for S = enc."""
+    def minor(self, enc: int) -> int:
+        """det(A'_S) for S = enc."""
         j = (enc & -enc).bit_length() - 1
-        _, _, scale, bordered = self._state(enc ^ (1 << j))
-        value = bordered[j][j]
-        if self.integral:
-            return value
-        return normalize(Fraction(value, scale * self.scales[j]))
+        return self._state(enc ^ (1 << j))[2][j][j]
 
     def _state(self, target: int) -> tuple:
         states = self.states
@@ -159,7 +156,7 @@ class _Chain:
         while target & -(states[-1][0] & -states[-1][0]) != states[-1][0]:
             states.pop()
         while (state := states[-1])[0] != target:
-            below, pivot, scale, bordered = state
+            below, pivot, bordered = state
             j = (target ^ below).bit_length() - 1
             row_j, minor = bordered[j], bordered[j][j]
             if pivot:
@@ -167,7 +164,7 @@ class _Chain:
                        for row_i in bordered[:j]]
             else:
                 nxt = self._direct(below | 1 << j, j)
-            states.append((below | 1 << j, minor, scale * self.scales[j], nxt))
+            states.append((below | 1 << j, minor, nxt))
         return state
 
     def _direct(self, enc: int, size: int) -> list[list[int]]:
@@ -177,7 +174,6 @@ class _Chain:
         rows = self.rows
         return [[det_exact([[rows[a][b] for b in [k] + members] for a in [i] + members])
                  for k in range(size)] for i in range(size)]
-
 
 def _leaf(adjacent: list[int], enc: int) -> int:
     """The lowest vertex of S = enc with at most one neighbour in S, or -1."""

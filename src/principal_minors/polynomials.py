@@ -28,11 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from math import comb, factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, prod
 from typing import Iterable, Iterator, Sequence
 
 from .indices import BinaryIndex, MinorVector
-from .scalars import Scalar, as_scalar, normalize
+from .scalars import Scalar, as_scalar, clear_denominators, normalize
 
 FIELD_BITS = 16
 REPEAT = 1 << (FIELD_BITS - 1)
@@ -227,10 +227,8 @@ class TensorPolynomial:
         coefficient; 1 for the zero polynomial."""
         if self.is_zero():
             return 1
-        coeffs = self._terms.values()
-        denom = lcm(*(c.denominator for c in coeffs))
-        content = gcd(*coeffs) if denom == 1 else Fraction(
-            gcd(*(c.numerator * (denom // c.denominator) for c in coeffs)), denom)
+        denom, ints = clear_denominators(self._terms.values())
+        content = normalize(Fraction(gcd(*ints), denom))
         return -content if self._terms[max(self._terms)] < 0 else content
 
     def normalized(self) -> "TensorPolynomial":

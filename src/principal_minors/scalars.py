@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
-from math import isqrt
-from typing import Union
+from math import isqrt, lcm
+from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
 
@@ -95,6 +95,16 @@ def normalize(value: Scalar) -> Scalar:
     if type(value) is Fraction and value.denominator == 1:
         return value.numerator
     return value
+
+
+def clear_denominators(values: Iterable[Scalar]) -> tuple[int, list[int]]:
+    """(d, [d * v for v in values]), d the lcm of the values' denominators:
+    the least d >= 1 that makes every d * v an int."""
+    values = list(values)
+    d = lcm(*[v.denominator for v in values])
+    if d == 1:  # no division per value: every content() in hd_basis
+        return 1, [v.numerator for v in values]
+    return d, [v.numerator * (d // v.denominator) for v in values]
 
 
 def scalar_str(value: Scalar) -> str:

@@ -110,6 +110,12 @@ def rational(rng):
     return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
 
 
+def per_row(rows, rng):
+    """rows with row i divided by its own denominator, up to 10^6."""
+    return [[Fraction(v, q) for v in row]
+            for row, q in zip(rows, (rng.randint(1, 10 ** 6) for _ in rows))]
+
+
 def test_kernel_factors_over_components():
     rng = random.Random(44)
     cases = [block_diagonal(sizes, rng) for sizes in
@@ -118,7 +124,10 @@ def test_kernel_factors_over_components():
         for extra in range(4):
             edges = tree_plus(n, extra, rng)
             cases += [on_edges(n, edges, rng), on_edges(n, edges, rng, rational),
-                      on_edges(n, edges, rng, diagonal=False)]
+                      on_edges(n, edges, rng, diagonal=False),
+                      per_row(on_edges(n, edges, rng), rng)]
+    cases += [per_row(block_diagonal([3, 1, 4], rng), rng),
+              per_row(on_edges(8, combinations(range(8), 2), rng), rng)]
     for rows in cases:
         assert list(all_principal_minors(rows)) == det_per_subset(rows)
 
@@ -138,6 +147,9 @@ def test_kernel_on_rows_with_one_sided_entries():
     for n in (4, 6, 8):
         for _ in range(5):
             rows = one_sided(on_edges(n, tree_plus(n, 2, rng), rng, rational), rng)
+            assert list(all_principal_minors(rows)) == det_per_subset(rows)
+        for edges in (tree_plus(n, 2, rng), combinations(range(n), 2)):
+            rows = one_sided(per_row(on_edges(n, edges, rng), rng), rng)
             assert list(all_principal_minors(rows)) == det_per_subset(rows)
 
 
@@ -274,6 +286,37 @@ def test_kernel_stops_with_the_block_that_holds_the_last_minor_taken(monkeypatch
             # a whole block is computed before its first minor is yielded;
             # a block of subsets visited alone, up to e only
             assert len(computed) == (2 * (1 << h) - 1 if lower & (lower - 1) == 0 else e)
+
+
+def test_kernel_normalizes_nothing_on_integral_rows(monkeypatch):
+    computed = []
+    monkeypatch.setattr(minor_map, "normalize", lambda v: computed.append(v) or normalize(v))
+    visited = per_subset_calls(monkeypatch)
+    rng = random.Random(54)
+    # a tree plus edges, and cliques, whose subsets visited alone meet the
+    # leaf rule and the component rule; an entry Fraction(v, 1) is integral
+    for rows in (on_edges(9, tree_plus(9, 3, rng), rng), block_diagonal([3, 1, 4], rng),
+                 [[Fraction(v) for v in row] for row in block_diagonal([2, 3, 3], rng)]):
+        visited.clear()
+        minors = list(all_principal_minors(rows))
+        assert minors == det_per_subset(rows) and all(type(v) is int for v in minors)
+        assert visited and computed == []
+
+
+def test_kernel_hands_the_chain_integer_rows(monkeypatch):
+    handed = []
+    init = minor_map._Chain.__init__
+    monkeypatch.setattr(minor_map._Chain, "__init__",
+                        lambda chain, rows: handed.append(rows) or init(chain, rows))
+    rng = random.Random(55)
+    cases = [on_edges(8, combinations(range(8), 2), rng, rational),
+             per_row(on_edges(8, combinations(range(8), 2), rng), rng),
+             one_sided(per_row(on_edges(9, tree_plus(9, 3, rng), rng), rng), rng),
+             on_edges(8, combinations(range(8), 2), rng)]
+    for rows in cases:
+        assert list(all_principal_minors(rows)) == det_per_subset(rows)
+    assert len(handed) == len(cases)
+    assert all(type(v) is int for rows in handed for row in rows for v in row)
 
 
 def test_kernel_takes_determinants_only_without_a_leaf(monkeypatch):
