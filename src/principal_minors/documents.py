@@ -185,8 +185,16 @@ def minors_document(z: MinorVector) -> dict:
         "schema_version": SCHEMA_VERSION,
         "n": z.n,
         "order": MINOR_ORDER,
-        "coords": [scalar_str(c) for c in z.coords],
+        "coords": _coords_text(z.coords),
     }
+
+
+def _coords_text(coords: tuple) -> list[str]:
+    """scalar_str of each coordinate, an int written in place."""
+    try:
+        return [f"{c}/1" if type(c) is int else scalar_str(c) for c in coords]
+    except ValueError:  # an int past the interpreter's int-to-str limit
+        return [scalar_str(c) for c in coords]
 
 
 def parse_minors_document(obj: dict) -> MinorVector:

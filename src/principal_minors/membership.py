@@ -26,12 +26,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import prod
+from operator import eq
 from typing import Optional
 
 from .hyperdet import first_nonzero_entry, first_nonzero_slice
 from .indices import MinorVector
 from .matrices import SymmetricMatrix
-from .minor_map import all_principal_minors, minor_vector
+from .minor_map import all_principal_minors, minor_blocks, minor_vector
 from .scalars import Scalar, excerpt, normalize, scalar_text, sqrt_exact
 # not called here: perfbench/tracer.py patches these names in membership and requires them bound
 from .hyperdet import cayley_hyperdet, hd_basis  # noqa: F401
@@ -282,17 +283,23 @@ def _rows(diag: list, steps: list, down: dict, up: Optional[dict] = None) -> lis
 
 
 def _verify(rows: list[list], z: MinorVector) -> None:
-    """All 2^n minors through the kernel in one pass, lazy per block, so
-    it stops with the block of the first mismatch in encoding order: at
-    |I| = 3 a NoConsistentSigns "triple", above a MinorMismatch (`_place`
-    read |I| <= 2).  A minor m of rows matches when m * z_[0..0] = z_I;
-    certificates carry w_I = z_I / z_[0..0]."""
-    z0, coords = z[0], z.coords
-    for enc, value in enumerate(all_principal_minors(rows)):
-        if value * z0 != coords[enc]:
-            expected = _ratio(z, enc)
+    """All 2^n minors through the kernel, one block at a time (lazy, so it
+    stops with the block of the first mismatch in encoding order).  A
+    minor m of rows matches when m * z_[0..0] = z_I: each block is
+    compared whole with its slice of z, and only a block that differs is
+    scanned, for its first mismatch: at |I| = 3 a NoConsistentSigns
+    "triple", above a MinorMismatch (`_place` read |I| <= 2).
+    Certificates carry w_I = z_I / z_[0..0]."""
+    z0, coords, lo = z[0], z.coords, 0
+    for block in minor_blocks(rows):
+        hi = lo + len(block)
+        scaled = block if z0 == 1 else [value * z0 for value in block]
+        if tuple(scaled) != coords[lo:hi]:
+            enc = next(enc for enc, value in enumerate(scaled, lo) if value != coords[enc])
+            value, expected = block[enc - lo], _ratio(z, enc)
             raise NonMemberError(NoConsistentSigns("triple", enc, expected, value)
                                  if enc.bit_count() == 3 else MinorMismatch(enc, expected, value))
+        lo = hi
 
 
 def reconstruct(z: MinorVector, mode: str = "exact") -> SymmetricMatrix:
@@ -480,8 +487,7 @@ def sign_flip_profile(matrix: SymmetricMatrix) -> SignFlipProfile:
         for bit, (i, j) in enumerate(free_pairs):
             if (mask >> bit) & 1:
                 rows[i][j] = rows[j][i] = -rows[i][j]
-        minors = all_principal_minors(rows)
-        agree = sum(value == want for value, want in zip(minors, base))
+        agree = sum(map(eq, all_principal_minors(rows), base))
         histogram[agree] = histogram.get(agree, 0) + class_size
     counts = tuple(sorted(histogram.items()))
     return SignFlipProfile(n, counts, 1 << (n * (n - 1) // 2))

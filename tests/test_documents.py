@@ -81,6 +81,19 @@ def test_rational_strings_are_reduced_with_positive_denominator():
         assert q > 0 and math.gcd(p, q) == 1
 
 
+def test_minors_coords_are_written_like_scalar_str():
+    # ints are written in place; a Fraction, or an int past the
+    # interpreter's int-to-str limit, is written by scalar_str
+    big = -(10 ** (MAX_DIGITS - 1)) + 7
+    for coords in ([0, -5, 10 ** 30, 1], [1, Fraction(-7, 3), 2, Fraction(5, 4)], [1, big, 3, 4],
+                   [Fraction(1, 10 ** 4400), 2, big, 0]):
+        z = MinorVector(2, tuple(coords))
+        assert minors_document(z)["coords"] == [scalar_str(c) for c in coords]
+    for coords in ([1, 10 ** MAX_DIGITS, 0, 0], [1, Fraction(10 ** MAX_DIGITS, 3), 0, 0]):
+        with pytest.raises(ValueError, match=f"more than {MAX_DIGITS} digits"):
+            minors_document(MinorVector(2, tuple(coords)))
+
+
 def test_rational_strings_read_exactly_the_written_grammar():
     for text, value in (("-3", -3), ("0", 0), ("-0", 0), ("4/2", 2), ("-7/3", Fraction(-7, 3)),
                         ("6/4", Fraction(3, 2)), ("0/5", 0), ("12/1", 12), ("-0/1", 0),

@@ -534,6 +534,44 @@ def test_reconstruct_names_the_first_mismatch_in_encoding_order():
             reconstruct(probe, "exact")
 
 
+def subset_by_subset_verify(rows, z):
+    """The check before whole blocks: each minor against its coordinate."""
+    for enc, value in enumerate(minor_map.all_principal_minors(rows)):
+        if value * z[0] != z[enc]:
+            expected = normalize(Fraction(z[enc]) / z[0])
+            raise NonMemberError(NoConsistentSigns("triple", enc, expected, value)
+                                 if enc.bit_count() == 3 else MinorMismatch(enc, expected, value))
+
+
+def test_whole_block_check_names_the_certificates_of_the_subset_by_subset_check(monkeypatch):
+    rng = random.Random(59)
+    z6 = minor_vector(random_symmetric_matrix(6, random.Random(1), nonzero_offdiag=True), 1)
+    members = [z6, minor_vector(sparse_matrix(9, 2, rng), 1),
+               minor_vector(with_denominators(sparse_matrix(8, 3, rng), rng), 1)]
+    points = []
+    for z in members:
+        top = len(z.coords) - 1
+        for scaled in (z, z.scale(Fraction(7, 3))):
+            points += [scaled, perturb(scaled, top), perturb(scaled, 26, Fraction(1, 2))]
+    # the first mismatch at |I| = 3 (26) and at |I| = 4 (30), as in the
+    # subset-by-subset check, both after a higher one (38)
+    points += [perturb(perturb(z6, 26), 38), perturb(perturb(z6, 30), 38)]
+    # a member whose leading coordinate is 0, moved into the chart first
+    rows = random_symmetric_matrix(5, rng, nonzero_offdiag=True).rows()
+    rows[0][0] = 0
+    points.append(act_point(GroupElement.from_matrices([((0, 1), (-1, 0))] + [((1, 0), (0, 1))] * 4),
+                            minor_vector(SymmetricMatrix.from_rows(rows), 1)))
+    blocks = [is_member(z, "reconstruct") for z in points]
+    monkeypatch.setattr(membership, "_verify", subset_by_subset_verify)
+    assert blocks == [is_member(z, "reconstruct") for z in points]
+    kinds = {(type(r.certificate).__name__, getattr(r.certificate, "check", None), r.chart_moves)
+             for r in blocks}
+    assert {("MatrixCertificate", None, 0), ("MatrixCertificate", None, 1),
+            ("NoConsistentSigns", "triple", 0), ("MinorMismatch", None, 0)} <= kinds
+    # z6 scaled by 7/3 with its top coordinate raised by 1: w_top moves by 3/7
+    assert blocks[4].certificate == MinorMismatch(63, z6[63] + Fraction(3, 7), z6[63])
+
+
 def test_reconstruct_of_a_member_takes_no_determinant(monkeypatch):
     # diagonal 100 makes the matrix strictly diagonally dominant, so every
     # principal minor, and so every pivot of the bordered chain, is nonzero:

@@ -204,6 +204,26 @@ def test_kernel_determinant_counts_on_paths_and_complete_graphs(monkeypatch):
         assert calls == []
 
 
+def test_kernel_looks_for_components_only_in_subsets_that_can_have_two(monkeypatch):
+    looked = []
+    component = minor_map._component
+    monkeypatch.setattr(minor_map, "_component",
+                        lambda adjacent, enc: looked.append(enc) or component(adjacent, enc))
+    rng = random.Random(60)
+    for n, zeros in ((6, 0), (8, 0), (8, 3), (9, 6)):
+        pairs = list(combinations(range(n), 2))
+        dropped = set(rng.sample(pairs, zeros))
+        rows = on_edges(n, [e for e in pairs if e not in dropped], rng)
+        low = n - min(sum(1 for j in range(n) if j != i and rows[i][j]) for i in range(n))
+        looked.clear()
+        assert list(all_principal_minors(rows)) == det_per_subset(rows)
+        # a vertex of S has (|S| - 1) / 2 neighbours in S or more once |S| is
+        # 2 low - 1 or more, so S is connected; the one look at all n
+        # vertices is the forest test
+        assert all(enc.bit_count() < 2 * low - 1 for enc in looked if enc != (1 << n) - 1)
+        assert looked.count((1 << n) - 1) == 1
+
+
 def test_kernel_factors_two_cliques_without_a_cross_determinant(monkeypatch):
     calls = count_determinants(monkeypatch)
     asked = chain_subsets(monkeypatch)
@@ -244,22 +264,100 @@ def test_kernel_takes_a_block_whole_below_at_most_one_lower_neighbour(monkeypatc
                 assert visited == [] and asked == []
 
 
-def test_kernel_visits_subsets_alone_under_a_star_centred_on_the_top_vertex(monkeypatch):
+def relabelled(n, edges, rng):
+    """edges with the vertices renamed by a random permutation."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return sorted(tuple(sorted((perm[i], perm[j]))) for i, j in edges)
+
+
+def sparse_graphs(n, rng):
+    """A path, a tree, a cycle and a tree plus 1..3 chords on n vertices,
+    each randomly relabelled."""
+    graphs = [[(k, k + 1) for k in range(n - 1)], tree_plus(n, 0, rng)]
+    if n >= 3:
+        graphs.append([(k, k + 1) for k in range(n - 1)] + [(0, n - 1)])
+    graphs += [tree_plus(n, extra, rng) for extra in range(1, 4) if extra <= (n - 1) * (n - 2) // 2]
+    return [relabelled(n, edges, rng) for edges in graphs]
+
+
+def test_kernel_equals_one_determinant_per_subset_on_relabelled_sparse_graphs():
+    rng = random.Random(56)
+    for n in range(1, 10):
+        for edges in sparse_graphs(n, rng):
+            for rows in (on_edges(n, edges, rng), on_edges(n, edges, rng, rational),
+                         per_row(on_edges(n, edges, rng), rng)):
+                minors = list(all_principal_minors(rows))
+                assert minors == det_per_subset(rows)
+                assert list(map(type, minors)) == list(map(type, det_per_subset(rows)))
+
+
+def leafless(n, edges):
+    """The nonempty subsets S whose every vertex has two or more
+    neighbours in S, in encoding order."""
+    adjacent = [0] * n
+    for i, j in edges:
+        adjacent[i] |= 1 << j
+        adjacent[j] |= 1 << i
+    return [enc for enc in range(1, 1 << n)
+            if all((adjacent[i] & enc).bit_count() >= 2 for i in range(n) if enc >> i & 1)]
+
+
+def test_kernel_visits_no_subset_of_a_forest_alone(monkeypatch):
+    visited = per_subset_calls(monkeypatch)
+    asked = chain_subsets(monkeypatch)
+    rng = random.Random(57)
+    for n in range(1, 11):
+        for _ in range(4):
+            tree = relabelled(n, tree_plus(n, 0, rng), rng)
+            forest = [e for e in tree if rng.random() < 0.7]
+            for rows in (on_edges(n, tree, rng), on_edges(n, forest, rng, rational)):
+                visited.clear()
+                assert list(all_principal_minors(rows)) == det_per_subset(rows)
+                assert visited == [] and asked == []
+
+
+def test_kernel_visits_few_subsets_alone_on_a_tree_plus_chords(monkeypatch):
+    visited = per_subset_calls(monkeypatch)
+    rng = random.Random(58)
+    n, seen, before = 12, 0, 0
+    for extra in (1, 2, 3):
+        for _ in range(6):
+            # vertex k > 0 hangs from one vertex below k, as in the benchmark
+            edges = tree_plus(n, extra, rng)
+            rows = on_edges(n, edges, rng)
+            degrees = [sum(v in e for e in edges) for v in range(n)]
+            if min(degrees) > 1:
+                continue
+            visited.clear()
+            assert list(all_principal_minors(rows)) == det_per_subset(rows)
+            # a leafless subset can only be visited alone; a range splits
+            # only toward a range of eight or more subsets that expands, so
+            # a few subsets with a leaf are visited alone too
+            assert set(leafless(n, edges)) <= set(visited)
+            assert len(visited) <= 2 ** (extra + 4)
+            seen += len(visited)
+            # taking whole only the blocks of a vertex with at most one lower
+            # neighbour visited every other block subset by subset
+            before += sum(1 << h for h in range(n)
+                          if sum(i < h for e in edges for i in e if h in e) >= 2)
+    assert 10 * seen < before
+
+
+def test_kernel_visits_no_subset_alone_under_a_star_centred_on_the_top_vertex(monkeypatch):
     visited = per_subset_calls(monkeypatch)
     asked = chain_subsets(monkeypatch)
     rng = random.Random(52)
     for n in range(3, 10):
-        for rows in (on_edges(n, star(n, n - 1), rng), on_edges(n, star(n, n - 1), rng, rational)):
-            visited.clear()
-            assert list(all_principal_minors(rows)) == det_per_subset(rows)
-            # only the top block has two or more lower neighbours; a star is
-            # a forest, so no subset reaches the chain
-            assert visited == list(range(1 << (n - 1), 1 << n)) and asked == []
-        # centred on vertex 0, every vertex has one lower neighbour
-        visited.clear()
-        rows = on_edges(n, star(n, 0), rng)
-        assert list(all_principal_minors(rows)) == det_per_subset(rows)
-        assert visited == []
+        for centre in (n - 1, 0):
+            for rows in (on_edges(n, star(n, centre), rng),
+                         on_edges(n, star(n, centre), rng, rational)):
+                visited.clear()
+                assert list(all_principal_minors(rows)) == det_per_subset(rows)
+                # centred on the top vertex, its block splits: base alone, then
+                # each range below it fixes a leaf t of the star; a star is a
+                # forest, so no subset reaches the chain either
+                assert visited == [] and asked == []
 
 
 def test_kernel_stops_with_the_block_that_holds_the_last_minor_taken(monkeypatch):
@@ -274,18 +372,15 @@ def test_kernel_stops_with_the_block_that_holds_the_last_minor_taken(monkeypatch
     for edges in graphs:
         rows = on_edges(n, edges, rng, rational)
         rows[0][0] = Fraction(1, 2)
-        adjacent = [sum(1 << j for j in range(n) if j != i and rows[i][j] != 0)
-                    for i in range(n)]
         expected = det_per_subset(rows)
         for e in sorted({1, 2, 3, 5, 6, 40, 64, 200, 256, 300, 511}
                         | set(rng.sample(range(1, 512), 20))):
             computed.clear()
             assert list(islice(all_principal_minors(rows), e + 1)) == expected[:e + 1]
+            # a block is computed whole before its first minor is handed
+            # out, and nothing of a later block
             h = e.bit_length() - 1
-            lower = adjacent[h] & ((1 << h) - 1)
-            # a whole block is computed before its first minor is yielded;
-            # a block of subsets visited alone, up to e only
-            assert len(computed) == (2 * (1 << h) - 1 if lower & (lower - 1) == 0 else e)
+            assert len(computed) == 2 * (1 << h) - 1
 
 
 def test_kernel_normalizes_nothing_on_integral_rows(monkeypatch):
